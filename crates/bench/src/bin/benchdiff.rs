@@ -19,7 +19,7 @@
 //! only when an input cannot be read or parsed.
 
 use std::collections::BTreeMap;
-use velv_bench::json::{self, Json};
+use velv_obs::json::{self, Json};
 
 /// One benchmark row, as read from a `runs` array entry.
 #[derive(Clone, Debug)]
@@ -137,6 +137,69 @@ fn moved_counters(baseline: &Row, current: &Row, threshold: f64) -> Vec<(String,
     moved
 }
 
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", json::escape(s))
+}
+
+/// The JSON report object of one flagged row.
+fn report_entry(
+    delta: &Delta,
+    time: f64,
+    confl: f64,
+    heap: f64,
+    moved: &[(String, f64, f64, f64)],
+) -> String {
+    let counters: Vec<String> = moved
+        .iter()
+        .take(8)
+        .map(|(name, old, new, _)| {
+            format!(
+                "{{\"name\": {}, \"baseline\": {old}, \"current\": {new}}}",
+                quoted(name)
+            )
+        })
+        .collect();
+    format!(
+        "    {{\"row\": {}, \"result_changed\": {}, \"time_rel\": {time:.4}, \
+         \"conflicts_per_sec_rel\": {confl:.4}, \"peak_heap_rel\": {heap:.4}, \
+         \"moved_counters\": [{}]}}",
+        quoted(&delta.key),
+        delta.result_changed,
+        counters.join(", ")
+    )
+}
+
+/// The `--out` report document.
+fn render_report(
+    baseline_path: &str,
+    current_path: &str,
+    threshold: f64,
+    entries: &[String],
+    added: &[String],
+    removed: &[String],
+) -> String {
+    let list = |keys: &[String]| {
+        keys.iter()
+            .map(|k| quoted(k))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let deltas = if entries.is_empty() {
+        String::new()
+    } else {
+        format!("{}\n", entries.join(",\n"))
+    };
+    format!(
+        "{{\n  \"baseline\": {},\n  \"current\": {},\n  \"threshold\": {threshold},\n  \
+         \"deltas\": [\n{deltas}  ],\n  \"added\": [{}],\n  \"removed\": [{}]\n}}\n",
+        quoted(baseline_path),
+        quoted(current_path),
+        list(added),
+        list(removed)
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = Vec::new();
@@ -213,21 +276,12 @@ fn main() {
         removed.len(),
         threshold * 100.0
     );
-    let mut report = String::new();
-    report.push_str("{\n");
-    report.push_str(&format!(
-        "  \"baseline\": \"{baseline_path}\",\n  \"current\": \"{current_path}\",\n"
-    ));
-    report.push_str(&format!("  \"threshold\": {threshold},\n"));
-    report.push_str("  \"deltas\": [\n");
-    let mut significant = 0usize;
-    let mut emitted = 0usize;
+    let mut entries = Vec::new();
     for delta in &deltas {
         let flagged = delta.result_changed || delta.significance > threshold;
         if !flagged {
             continue;
         }
-        significant += 1;
         let time = rel(delta.baseline.time_s, delta.current.time_s);
         let confl = rel(
             delta.baseline.conflicts_per_sec,
@@ -285,53 +339,9 @@ fn main() {
         if moved.len() > 4 {
             println!("    ... and {} more moved counters", moved.len() - 4);
         }
-        if emitted > 0 {
-            report.push_str(",\n");
-        }
-        emitted += 1;
-        let counters: Vec<String> = moved
-            .iter()
-            .take(8)
-            .map(|(name, old, new, _)| {
-                format!(
-                    "{{\"name\": \"{}\", \"baseline\": {old}, \"current\": {new}}}",
-                    name.replace('\\', "\\\\").replace('"', "\\\"")
-                )
-            })
-            .collect();
-        report.push_str(&format!(
-            "    {{\"row\": \"{}\", \"result_changed\": {}, \"time_rel\": {:.4}, \
-             \"conflicts_per_sec_rel\": {:.4}, \"peak_heap_rel\": {:.4}, \
-             \"moved_counters\": [{}]}}",
-            delta.key.replace('\\', "\\\\").replace('"', "\\\""),
-            delta.result_changed,
-            time,
-            confl,
-            heap,
-            counters.join(", ")
-        ));
+        entries.push(report_entry(delta, time, confl, heap, &moved));
     }
-    if emitted > 0 {
-        report.push('\n');
-    }
-    report.push_str("  ],\n");
-    report.push_str(&format!(
-        "  \"added\": [{}],\n",
-        added
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    report.push_str(&format!(
-        "  \"removed\": [{}]\n}}\n",
-        removed
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    if significant == 0 {
+    if entries.is_empty() {
         println!("  no row moved beyond the threshold");
     }
     for key in &added {
@@ -341,10 +351,69 @@ fn main() {
         println!("  removed {key}");
     }
     if let Some(path) = out_path {
+        let report = render_report(
+            baseline_path,
+            current_path,
+            threshold,
+            &entries,
+            &added,
+            &removed,
+        );
         if let Err(e) = std::fs::write(&path, report) {
             eprintln!("benchdiff: cannot write {path}: {e}");
             std::process::exit(1);
         }
         println!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reports_escape_paths_and_row_keys() {
+        let path = r#"runs/"quoted"\back\slash.json"#;
+        let key = r#"odd "instance"\name [chaff]"#.to_owned();
+        let row = Row {
+            result: "unsat".to_owned(),
+            time_s: 1.0,
+            conflicts: 10.0,
+            conflicts_per_sec: 10.0,
+            propagations_per_sec: 100.0,
+            peak_heap_bytes: 1000.0,
+            metrics: BTreeMap::from([(r#"c{preset="chaff"}"#.to_owned(), 10.0)]),
+        };
+        let delta = Delta {
+            key: key.clone(),
+            baseline: row.clone(),
+            current: row,
+            significance: 0.5,
+            result_changed: false,
+        };
+        let moved = vec![(r#"c{preset="chaff"}"#.to_owned(), 10.0, 20.0, 1.0)];
+        let entries = vec![report_entry(&delta, 0.5, -0.1, 0.0, &moved)];
+        let keys = std::slice::from_ref(&key);
+        let report = render_report(path, path, 0.05, &entries, keys, keys);
+        let doc = json::parse(&report).expect("the report is valid JSON");
+        assert_eq!(doc.get("baseline").and_then(Json::as_str), Some(path));
+        assert_eq!(doc.get("current").and_then(Json::as_str), Some(path));
+        for list in ["added", "removed"] {
+            let items = doc.get(list).and_then(Json::as_array).unwrap();
+            assert_eq!(items[0].as_str(), Some(key.as_str()));
+        }
+        let delta = &doc.get("deltas").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(delta.get("row").and_then(Json::as_str), Some(key.as_str()));
+        let counter = &delta
+            .get("moved_counters")
+            .and_then(Json::as_array)
+            .unwrap()[0];
+        assert_eq!(
+            counter.get("name").and_then(Json::as_str),
+            Some(r#"c{preset="chaff"}"#)
+        );
+
+        let empty = render_report("a", "b", 0.05, &[], &[], &[]);
+        assert!(json::parse(&empty).is_ok(), "{empty}");
     }
 }

@@ -21,72 +21,16 @@
 //!            [--cdcl-baseline BENCH_cdcl.json --cdcl-current /tmp/BENCH_cdcl.json [--max-heap-ratio R]]
 //! ```
 //!
-//! The parser is a purpose-built scan for these two schemas (the workspace
-//! is dependency-free): it finds the `"sweeps"` (or `"runs"`) array and
-//! pulls the gated fields out of each element.
+//! Both files are read with `velv_obs::json`; the gates look up the
+//! `"sweeps"` (or `"runs"`) array and the gated fields of each element.
+
+use velv_obs::json::{self, Json};
 
 /// One throughput sweep row: label plus measured rate.
 #[derive(Debug, PartialEq)]
 struct Sweep {
     label: String,
     jobs_per_sec: f64,
-}
-
-/// Extracts the string value following `"key":` in `object`, or `None`.
-fn string_field(object: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let after = &object[object.find(&needle)? + needle.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let rest = after.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_owned())
-}
-
-/// Extracts the numeric value following `"key":` in `object`, or `None`.
-fn number_field(object: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let after = &object[object.find(&needle)? + needle.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let end = after
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
-}
-
-/// Pulls the `sweeps` rows out of a `BENCH_serve.json` document.
-fn parse_sweeps(text: &str) -> Result<Vec<Sweep>, String> {
-    let start = text
-        .find("\"sweeps\"")
-        .ok_or_else(|| "no \"sweeps\" array".to_owned())?;
-    let after = &text[start..];
-    let open = after
-        .find('[')
-        .ok_or_else(|| "\"sweeps\" is not an array".to_owned())?;
-    let close = after[open..]
-        .find(']')
-        .ok_or_else(|| "unterminated \"sweeps\" array".to_owned())?;
-    let body = &after[open + 1..open + close];
-    let mut sweeps = Vec::new();
-    let mut rest = body;
-    while let Some(obj_start) = rest.find('{') {
-        let obj_end = rest[obj_start..]
-            .find('}')
-            .ok_or_else(|| "unterminated sweep object".to_owned())?;
-        let object = &rest[obj_start..obj_start + obj_end + 1];
-        let label = string_field(object, "label")
-            .ok_or_else(|| format!("sweep without label: {object}"))?;
-        let jobs_per_sec = number_field(object, "jobs_per_sec")
-            .ok_or_else(|| format!("sweep without jobs_per_sec: {object}"))?;
-        sweeps.push(Sweep {
-            label,
-            jobs_per_sec,
-        });
-        rest = &rest[obj_start + obj_end + 1..];
-    }
-    if sweeps.is_empty() {
-        return Err("empty \"sweeps\" array".to_owned());
-    }
-    Ok(sweeps)
 }
 
 /// One CDCL benchmark row: `(instance, preset)` key plus its peak heap bytes.
@@ -96,59 +40,65 @@ struct HeapRow {
     peak_heap_bytes: f64,
 }
 
-/// Pulls `(instance, preset, peak_heap_bytes)` rows out of a
-/// `BENCH_cdcl.json` document.  Run objects nest a `metrics` object, so the
-/// scan tracks brace depth instead of cutting at the first `}`.
-fn parse_heap_rows(text: &str) -> Result<Vec<HeapRow>, String> {
-    let start = text
-        .find("\"runs\"")
-        .ok_or_else(|| "no \"runs\" array".to_owned())?;
-    let after = &text[start..];
-    let open = after
-        .find('[')
-        .ok_or_else(|| "\"runs\" is not an array".to_owned())?;
-    let mut rows = Vec::new();
-    let mut depth = 0usize;
-    let mut object_start = 0usize;
-    let mut closed = false;
-    for (i, c) in after[open..].char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    object_start = i;
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| "unbalanced braces in \"runs\"".to_owned())?;
-                if depth == 0 {
-                    let object = &after[open + object_start..open + i + 1];
-                    let instance = string_field(object, "instance")
-                        .ok_or_else(|| format!("run without instance: {object}"))?;
-                    let preset = string_field(object, "preset")
-                        .ok_or_else(|| format!("run without preset: {object}"))?;
-                    rows.push(HeapRow {
-                        key: format!("{instance} [{preset}]"),
-                        peak_heap_bytes: number_field(object, "peak_heap_bytes").unwrap_or(0.0),
-                    });
-                }
-            }
-            ']' if depth == 0 => {
-                closed = true;
-                break;
-            }
-            _ => {}
-        }
-    }
-    if !closed {
-        return Err("unterminated \"runs\" array".to_owned());
-    }
+/// Parses `text` and returns the elements of its top-level array `key`;
+/// a missing or empty array is an error.
+fn rows(text: &str, key: &str) -> Result<Vec<Json>, String> {
+    let rows = match json::parse(text).map_err(|e| e.to_string())? {
+        Json::Object(mut doc) => doc.remove(key),
+        _ => None,
+    };
+    let Some(Json::Array(rows)) = rows else {
+        return Err(format!("no \"{key}\" array"));
+    };
     if rows.is_empty() {
-        return Err("empty \"runs\" array".to_owned());
+        return Err(format!("empty \"{key}\" array"));
     }
     Ok(rows)
+}
+
+/// A string field of a row, or an error naming the row.
+fn field_str(row: &Json, key: &str) -> Result<String, String> {
+    row.get(key)
+        .and_then(Json::as_str)
+        .map(str::to_owned)
+        .ok_or_else(|| format!("row without {key}: {row:?}"))
+}
+
+/// The `sweeps` rows of a `BENCH_serve.json` document.
+fn read_sweeps(text: &str) -> Result<Vec<Sweep>, String> {
+    rows(text, "sweeps")?
+        .iter()
+        .map(|row| {
+            Ok(Sweep {
+                label: field_str(row, "label")?,
+                jobs_per_sec: row
+                    .get("jobs_per_sec")
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("sweep without jobs_per_sec: {row:?}"))?,
+            })
+        })
+        .collect()
+}
+
+/// The `(instance, preset, peak_heap_bytes)` rows of a `BENCH_cdcl.json`
+/// document; a missing peak reads as 0 (the gate skips such rows).
+fn read_heap_rows(text: &str) -> Result<Vec<HeapRow>, String> {
+    rows(text, "runs")?
+        .iter()
+        .map(|row| {
+            Ok(HeapRow {
+                key: format!(
+                    "{} [{}]",
+                    field_str(row, "instance")?,
+                    field_str(row, "preset")?
+                ),
+                peak_heap_bytes: row
+                    .get("peak_heap_bytes")
+                    .and_then(Json::as_f64)
+                    .unwrap_or(0.0),
+            })
+        })
+        .collect()
 }
 
 fn usage() -> ! {
@@ -159,23 +109,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn load_sweeps(path: &str) -> Vec<Sweep> {
+/// Reads `path` with `read`, exiting 2 on a missing or malformed file.
+fn load<T>(path: &str, read: fn(&str) -> Result<T, String>) -> T {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("benchguard: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    parse_sweeps(&text).unwrap_or_else(|e| {
-        eprintln!("benchguard: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn load_heap_rows(path: &str) -> Vec<HeapRow> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("benchguard: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse_heap_rows(&text).unwrap_or_else(|e| {
+    read(&text).unwrap_or_else(|e| {
         eprintln!("benchguard: {path}: {e}");
         std::process::exit(2);
     })
@@ -183,8 +123,8 @@ fn load_heap_rows(path: &str) -> Vec<HeapRow> {
 
 /// The serving-throughput gate; returns `true` on regression.
 fn gate_sweeps(baseline_path: &str, current_path: &str, min_ratio: f64) -> bool {
-    let baseline = load_sweeps(baseline_path);
-    let current = load_sweeps(current_path);
+    let baseline = load(baseline_path, read_sweeps);
+    let current = load(current_path, read_sweeps);
     let mut failed = false;
     let mut compared = 0;
     for base in &baseline {
@@ -226,8 +166,8 @@ fn gate_sweeps(baseline_path: &str, current_path: &str, min_ratio: f64) -> bool 
 
 /// The peak-heap gate; returns `true` on regression.
 fn gate_heap(baseline_path: &str, current_path: &str, max_ratio: f64) -> bool {
-    let baseline = load_heap_rows(baseline_path);
-    let current = load_heap_rows(current_path);
+    let baseline = load(baseline_path, read_heap_rows);
+    let current = load(current_path, read_heap_rows);
     let mut failed = false;
     let mut compared = 0;
     for base in &baseline {
@@ -334,7 +274,7 @@ mod tests {
 
     #[test]
     fn sweeps_parse_labels_and_rates() {
-        let sweeps = parse_sweeps(DOC).expect("parses");
+        let sweeps = read_sweeps(DOC).expect("parses");
         assert_eq!(sweeps.len(), 2, "the persist array is not scanned");
         assert_eq!(sweeps[0].label, "cold-batch");
         assert!((sweeps[0].jobs_per_sec - 88.46).abs() < 1e-9);
@@ -344,9 +284,9 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected() {
-        assert!(parse_sweeps("{}").is_err());
-        assert!(parse_sweeps("{\"sweeps\": []}").is_err());
-        assert!(parse_sweeps("{\"sweeps\": [{\"label\": \"x\"}]}").is_err());
+        assert!(read_sweeps("{}").is_err());
+        assert!(read_sweeps("{\"sweeps\": []}").is_err());
+        assert!(read_sweeps("{\"sweeps\": [{\"label\": \"x\"}]}").is_err());
     }
 
     const CDCL_DOC: &str = r#"{
@@ -360,7 +300,7 @@ mod tests {
 
     #[test]
     fn heap_rows_survive_the_nested_metrics_object() {
-        let rows = parse_heap_rows(CDCL_DOC).expect("parses");
+        let rows = read_heap_rows(CDCL_DOC).expect("parses");
         assert_eq!(rows.len(), 2, "the nested metrics braces are not rows");
         assert_eq!(rows[0].key, "php-7-6 [chaff]");
         assert!((rows[0].peak_heap_bytes - 123456.0).abs() < 1e-9);
@@ -373,9 +313,32 @@ mod tests {
 
     #[test]
     fn malformed_cdcl_documents_are_rejected() {
-        assert!(parse_heap_rows("{}").is_err());
-        assert!(parse_heap_rows("{\"runs\": []}").is_err());
-        assert!(parse_heap_rows("{\"runs\": [{\"preset\": \"chaff\"}]}").is_err());
-        assert!(parse_heap_rows("{\"runs\": [{\"preset\": \"x\", \"instance\": \"y\"}").is_err());
+        assert!(read_heap_rows("{}").is_err());
+        assert!(read_heap_rows("{\"runs\": []}").is_err());
+        assert!(read_heap_rows("{\"runs\": [{\"preset\": \"chaff\"}]}").is_err());
+        assert!(read_heap_rows("{\"runs\": [{\"preset\": \"x\", \"instance\": \"y\"}").is_err());
+    }
+
+    /// The committed baselines CI gates on load through the same readers.
+    #[test]
+    fn committed_baselines_load() {
+        let serve = read_sweeps(include_str!("../../../../BENCH_serve.json")).expect("serve");
+        let labels: Vec<&str> = serve.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["cold-batch", "warm-batch", "warm-concurrent"]);
+        assert!(serve.iter().all(|s| s.jobs_per_sec > 0.0));
+
+        let cdcl_text = include_str!("../../../../BENCH_cdcl.json");
+        let runs = rows(cdcl_text, "runs").expect("runs");
+        let heap = read_heap_rows(cdcl_text).expect("cdcl");
+        assert_eq!(heap.len(), runs.len());
+        for (row, run) in heap.iter().zip(&runs) {
+            let expected = format!(
+                "{} [{}]",
+                run.get("instance").and_then(Json::as_str).unwrap(),
+                run.get("preset").and_then(Json::as_str).unwrap()
+            );
+            assert_eq!(row.key, expected);
+            assert!(row.peak_heap_bytes > 0.0, "{}", row.key);
+        }
     }
 }

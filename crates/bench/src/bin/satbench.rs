@@ -68,6 +68,7 @@ use velv_core::{TranslationOptions, Verdict, Verifier};
 static ALLOC: velv_obs::CountingAlloc = velv_obs::CountingAlloc;
 use velv_models::dlx::{bug_catalog, Dlx, DlxConfig, DlxSpecification};
 use velv_models::ooo::{Ooo, OooSpecification};
+use velv_obs::json;
 use velv_sat::cdcl::{CdclConfig, CdclSolver};
 use velv_sat::generators::{pigeonhole, random_3sat};
 use velv_sat::{Budget, CnfFormula, SatResult, Solver};
@@ -704,8 +705,8 @@ struct ServeSweep {
 }
 
 /// Serving-layer benchmark (see the module docs): returns the measured
-/// sweeps plus the service's final counters.
-fn run_serve(smoke: bool) -> (Vec<ServeSweep>, velv_serve::ServiceStats, usize) {
+/// sweeps plus the service's final registry snapshot.
+fn run_serve(smoke: bool) -> (Vec<ServeSweep>, velv_obs::Snapshot, usize) {
     use velv_serve::{JobSpec, ModelRef, ServeHandle, ServiceConfig};
 
     let workers = if smoke { 2 } else { 4 };
@@ -784,7 +785,7 @@ fn run_serve(smoke: bool) -> (Vec<ServeSweep>, velv_serve::ServiceStats, usize) 
 
     // Shut down first so the worker gauges have settled before the snapshot.
     service.shutdown();
-    let stats = service.stats();
+    let stats = service.registry_snapshot();
     (sweeps, stats, workers)
 }
 
@@ -899,7 +900,10 @@ fn run_persist(smoke: bool) -> Vec<PersistRow> {
             "persist sweep job came back undecided"
         );
     }
-    let persisted = service.stats().persisted;
+    let persisted = service
+        .registry_snapshot()
+        .value("velv_serve_verdicts_persisted_total")
+        .unwrap_or(0);
     service.shutdown();
     drop(service);
 
@@ -909,9 +913,17 @@ fn run_persist(smoke: bool) -> Vec<PersistRow> {
         assert!(ticket.wait().from_cache, "warm boot must serve from cache");
     }
     let seconds = start.elapsed().as_secs_f64();
-    let stats = service.stats();
-    assert_eq!(stats.replayed, persisted, "every persisted verdict replays");
-    assert_eq!(stats.fresh_solves, 0, "warm boot re-solves nothing");
+    let stats = service.registry_snapshot();
+    assert_eq!(
+        stats.value("velv_serve_warm_boot_replayed_total"),
+        Some(persisted),
+        "every persisted verdict replays"
+    );
+    assert_eq!(
+        stats.value("velv_serve_fresh_solves_total"),
+        Some(0),
+        "warm boot re-solves nothing"
+    );
     service.shutdown();
     rows.push(PersistRow {
         label: "warm-boot-replay".to_owned(),
@@ -928,7 +940,7 @@ fn write_serve_json(
     path: &str,
     sweeps: &[ServeSweep],
     persist: &[PersistRow],
-    stats: &velv_serve::ServiceStats,
+    stats: &velv_obs::Snapshot,
     workers: usize,
     smoke: bool,
 ) -> std::io::Result<()> {
@@ -941,7 +953,7 @@ fn write_serve_json(
     for (i, sweep) in sweeps.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"jobs\": {}, \"seconds\": {:.6}, \"jobs_per_sec\": {:.2}}}{}\n",
-            sweep.label,
+            json::escape(sweep.label),
             sweep.jobs,
             sweep.seconds,
             sweep.jobs_per_sec,
@@ -953,7 +965,7 @@ fn write_serve_json(
     for (i, row) in persist.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"records\": {}, \"seconds\": {:.6}, \"records_per_sec\": {:.2}}}{}\n",
-            row.label,
+            json::escape(&row.label),
             row.records,
             row.seconds,
             row.per_sec,
@@ -961,18 +973,31 @@ fn write_serve_json(
         ));
     }
     out.push_str("  ],\n");
-    for (key, value) in stats.fields() {
-        out.push_str(&format!("  \"{}\": {},\n", key.replace('-', "_"), value));
-    }
+    // The registry snapshot, flattened exactly as the wire `stats` verb
+    // serves it.
+    let fields: Vec<String> = stats
+        .flat_fields()
+        .iter()
+        .map(|(key, value)| format!("    \"{}\": {value}", json::escape(key)))
+        .collect();
+    out.push_str(&format!("  \"stats\": {{\n{}\n  }},\n", fields.join(",\n")));
     out.push_str(&format!(
         "  \"cache_hit_ratio\": {:.4}\n}}\n",
-        stats.cache.hit_ratio()
+        cache_hit_ratio(stats)
     ));
     std::fs::write(path, out)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Verdict-cache lookup hit ratio from the registry counters; 0 with no
+/// lookups.
+fn cache_hit_ratio(stats: &velv_obs::Snapshot) -> f64 {
+    let hits = stats
+        .value("velv_serve_cache_lookup_hits_total")
+        .unwrap_or(0);
+    let misses = stats
+        .value("velv_serve_cache_lookup_misses_total")
+        .unwrap_or(0);
+    hits as f64 / (hits + misses).max(1) as f64
 }
 
 fn write_json(path: &str, measurements: &[Measurement], smoke: bool) -> std::io::Result<()> {
@@ -988,7 +1013,7 @@ fn write_json(path: &str, measurements: &[Measurement], smoke: bool) -> std::io:
             let entries: Vec<String> = m
                 .metrics
                 .iter()
-                .map(|(key, value)| format!("\"{}\": {value}", json_escape(key)))
+                .map(|(key, value)| format!("\"{}\": {value}", json::escape(key)))
                 .collect();
             format!(", \"metrics\": {{{}}}", entries.join(", "))
         };
@@ -997,8 +1022,8 @@ fn write_json(path: &str, measurements: &[Measurement], smoke: bool) -> std::io:
              \"time_s\": {:.6}, \"conflicts\": {}, \"propagations\": {}, \
              \"decisions\": {}, \"conflicts_per_sec\": {:.1}, \"propagations_per_sec\": {:.1}, \
              \"peak_heap_bytes\": {}{}}}{}\n",
-            json_escape(m.preset),
-            json_escape(&m.instance),
+            json::escape(m.preset),
+            json::escape(&m.instance),
             m.result,
             m.time_s,
             m.conflicts,
@@ -1128,16 +1153,18 @@ fn main() {
                 sweep.label, sweep.jobs, sweep.seconds, sweep.jobs_per_sec
             );
         }
+        let count = |name| stats.value(name).unwrap_or(0);
         println!(
             "cache hits {} / lookups {} (ratio {:.2}), dedup joins {}, fresh solves {}",
-            stats.cache.hits,
-            stats.cache.hits + stats.cache.misses,
-            stats.cache.hit_ratio(),
-            stats.dedup_joins,
-            stats.fresh_solves
+            count("velv_serve_cache_lookup_hits_total"),
+            count("velv_serve_cache_lookup_hits_total")
+                + count("velv_serve_cache_lookup_misses_total"),
+            cache_hit_ratio(&stats),
+            count("velv_serve_dedup_joins_total"),
+            count("velv_serve_fresh_solves_total")
         );
         assert!(
-            stats.cache.hit_ratio() > 0.0,
+            cache_hit_ratio(&stats) > 0.0,
             "the repeated catalog sweep must produce cache hits"
         );
         println!(

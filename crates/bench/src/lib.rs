@@ -15,9 +15,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod json;
-pub mod microbench;
-
 use std::time::{Duration, Instant};
 use velv_core::{TranslationOptions, Verdict, Verifier};
 use velv_hdl::Processor;

@@ -124,16 +124,16 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str("{\"name\":\"");
-            crate::json_escape_into(&mut out, &sample.name);
+            crate::json::escape_into(&mut out, &sample.name);
             out.push_str("\",\"labels\":{");
             for (li, (k, v)) in sample.labels.iter().enumerate() {
                 if li > 0 {
                     out.push(',');
                 }
                 out.push('"');
-                crate::json_escape_into(&mut out, k);
+                crate::json::escape_into(&mut out, k);
                 out.push_str("\":\"");
-                crate::json_escape_into(&mut out, v);
+                crate::json::escape_into(&mut out, v);
                 out.push('"');
             }
             out.push_str("},\"type\":\"");

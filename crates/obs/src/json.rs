@@ -1,10 +1,18 @@
-//! A minimal recursive-descent JSON parser for the committed `BENCH_*.json`
-//! files — enough of RFC 8259 to read what the harness itself writes
-//! (objects, arrays, strings with the common escapes, numbers, booleans,
-//! null), with no external dependencies.
+//! The workspace's one JSON codec: a small recursive-descent reader for
+//! RFC 8259 documents and the string escaper every JSON writer uses.
+//!
+//! Numbers keep their source text and are parsed only when read
+//! ([`Json::as_u64`], [`Json::as_i64`], [`Json::as_f64`]): trace ids are
+//! full-range `u64`s, which an `f64` cannot hold exactly, and trace records
+//! surface every value in its original spelling.  Nesting is bounded by
+//! [`MAX_DEPTH`] so hostile input returns an error instead of overflowing
+//! the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -13,30 +21,34 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (integers included) as `f64` — the harness never writes
-    /// integers beyond 2^53.
-    Number(f64),
+    /// A number, as written in the source.
+    Number(String),
     /// A string.
     String(String),
     /// An array.
     Array(Vec<Json>),
-    /// An object, keys sorted (BENCH files never rely on key order).
+    /// An object, keys sorted; a repeated key keeps its last value.
     Object(BTreeMap<String, Json>),
 }
 
 impl Json {
     /// The value under `key` of an object, if this is an object and has it.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(map) => map.get(key),
-            _ => None,
-        }
+        self.as_object()?.get(key)
     }
 
     /// The elements, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The key/value pairs, if this is an object.
+    pub fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
+        match self {
+            Json::Object(map) => Some(map),
             _ => None,
         }
     }
@@ -49,18 +61,24 @@ impl Json {
         }
     }
 
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
+    /// The number as an exact `u64`, if it is written as one.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.parse_number()
     }
 
-    /// The key/value pairs, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
+    /// The number as an exact `i64`, if it is written as one.
+    pub fn as_i64(&self) -> Option<i64> {
+        self.parse_number()
+    }
+
+    /// The number as an `f64` (rounded to the nearest representable value).
+    pub fn as_f64(&self) -> Option<f64> {
+        self.parse_number()
+    }
+
+    fn parse_number<T: std::str::FromStr>(&self) -> Option<T> {
         match self {
-            Json::Object(map) => Some(map),
+            Json::Number(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -83,29 +101,54 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON document; trailing whitespace is allowed, trailing
+/// Parses one JSON document; surrounding whitespace is allowed, trailing
 /// content is not.
 ///
 /// # Errors
 ///
-/// Returns the first syntax error with its byte offset.
+/// Returns the first syntax error with its byte offset, including nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut parser = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
     parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != input.len() {
         return Err(parser.error("trailing content after the document"));
     }
     Ok(value)
 }
 
+/// Appends `s` escaped for a JSON string literal (no surrounding quotes).
+pub fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+}
+
+/// `s` escaped for a JSON string literal (no surrounding quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -117,7 +160,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -137,8 +180,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -148,78 +191,85 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
             Ok(value)
         } else {
-            Err(self.error(&format!("expected `{text}`")))
+            Err(self.error(&format!("expected `{word}`")))
         }
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+        self.pos += 1;
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| self.error(&format!("bad number `{text}`")))
+        let text = &self.text[start..self.pos];
+        if text.parse::<f64>().is_err() {
+            return Err(self.error(&format!("bad number `{text}`")));
+        }
+        Ok(Json::Number(text.to_owned()))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one go.
+            let rest = &self.text[self.pos..];
+            let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+            out.push_str(&rest[..run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
+                    let escaped = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
+                            let code = self
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            // Surrogate pairs never appear in harness output;
-                            // map them to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.error("bad \\u escape"))?;
                             self.pos += 4;
+                            // Surrogate pairs never appear in our own output;
+                            // they decode to the replacement character.
+                            char::from_u32(code).unwrap_or('\u{FFFD}')
                         }
                         _ => return Err(self.error("bad escape")),
-                    }
+                    };
+                    out.push(escaped);
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -298,23 +348,44 @@ mod tests {
         let runs = json.get("runs").unwrap().as_array().unwrap();
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
-        assert_eq!(run.get("conflicts").unwrap().as_f64(), Some(1000.0));
+        assert_eq!(run.get("conflicts").unwrap().as_u64(), Some(1000));
+        assert_eq!(run.get("conflicts_per_sec").unwrap().as_f64(), Some(8100.5));
         let metrics = run.get("metrics").unwrap().as_object().unwrap();
         assert_eq!(
-            metrics["engine_conflicts_total{preset=\"chaff\"}"],
-            Json::Number(1000.0)
+            metrics["engine_conflicts_total{preset=\"chaff\"}"].as_u64(),
+            Some(1000)
         );
     }
 
     #[test]
     fn escapes_and_numbers_round_trip() {
-        let json = parse(r#"["a\"b\\c\nd", -1.5e3, 0.25, null, true]"#).unwrap();
+        let json = parse(r#"["a\"b\\c\ndA", -1.5e3, 0.25, null, true, -7]"#).unwrap();
         let items = json.as_array().unwrap();
-        assert_eq!(items[0].as_str(), Some("a\"b\\c\nd"));
+        assert_eq!(items[0].as_str(), Some("a\"b\\c\ndA"));
         assert_eq!(items[1].as_f64(), Some(-1500.0));
+        assert_eq!(items[1], Json::Number("-1.5e3".to_owned()));
         assert_eq!(items[2].as_f64(), Some(0.25));
+        assert_eq!(items[2].as_u64(), None);
         assert_eq!(items[3], Json::Null);
         assert_eq!(items[4], Json::Bool(true));
+        assert_eq!(items[5].as_i64(), Some(-7));
+        assert_eq!(items[5].as_u64(), None);
+    }
+
+    #[test]
+    fn integers_beyond_f64_precision_stay_exact() {
+        let json = parse("[18446744073709551615, 18446744073709551614]").unwrap();
+        let items = json.as_array().unwrap();
+        assert_eq!(items[0].as_u64(), Some(u64::MAX));
+        assert_eq!(items[1].as_u64(), Some(u64::MAX - 1));
+    }
+
+    #[test]
+    fn escaped_strings_parse_back() {
+        let nasty = "q\"u\\o\nte\t\r\u{1}é";
+        let doc = format!("{{\"{}\": \"{}\"}}", escape(nasty), escape(nasty));
+        let json = parse(&doc).unwrap();
+        assert_eq!(json.get(nasty).and_then(Json::as_str), Some(nasty));
     }
 
     #[test]
@@ -325,5 +396,17 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("123 456").is_err());
         assert!(parse("\"unterminated").is_err());
+        assert!(parse("\"bad \\x escape\"").is_err());
+        assert!(parse("1.2.3").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
     }
 }

@@ -15,9 +15,12 @@
 //!   parent/child nesting, buffered per thread and drained to a pluggable
 //!   [`TraceSink`] as JSON lines.  With no sink installed the whole tracer
 //!   collapses to one relaxed atomic load per call site.
-//! * **Trace checking** ([`tracecheck`]): a small flat-JSON parser and
-//!   [`check_trace`] validator asserting a trace is well-formed JSONL with
-//!   balanced span open/close records — used by `satbench --trace`, CI, and
+//! * **JSON** ([`json`]): the workspace's one JSON codec — a
+//!   depth-bounded reader that keeps numbers as their source text, and the
+//!   string escaper every JSON writer uses.
+//! * **Trace checking** ([`tracecheck`]): a flat trace-record reader on top
+//!   of [`json`] and the [`check_trace`] validator asserting a trace is
+//!   well-formed JSONL with balanced span open/close records — used by `satbench --trace`, CI, and
 //!   `velvc trace <file>`.  [`check_traces`] extends the check to several
 //!   per-process files, resolving cross-process parentage through
 //!   `trace=`/`remote_parent=` span fields.
@@ -63,6 +66,7 @@
 
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod mem;
 pub mod metrics;
 pub mod profile;
@@ -89,21 +93,3 @@ pub use trace::{
 pub use tracecheck::{
     check_trace, check_traces, parse_trace_line, MergedTraceSummary, TraceRecord, TraceSummary,
 };
-
-/// Escapes a string for embedding in a JSON string literal (no surrounding
-/// quotes).  Shared by the exposition encoders and the tracer.
-pub(crate) fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}

@@ -274,7 +274,7 @@ impl MetricSample {
             }
             out.push_str(k);
             out.push_str("=\"");
-            crate::json_escape_into(&mut out, v);
+            crate::json::escape_into(&mut out, v);
             out.push('"');
         }
         out.push('}');
@@ -304,15 +304,14 @@ impl Snapshot {
         })
     }
 
-    /// The value of an unlabelled (or uniquely named) counter, if present.
-    pub fn counter(&self, name: &str) -> Option<u64> {
+    /// The reading of the first sample named `name` (unlabelled, or the
+    /// first label set) as a `u64`: a counter or a non-negative gauge; see
+    /// [`MetricValue::as_u64`].
+    pub fn value(&self, name: &str) -> Option<u64> {
         self.metrics
             .iter()
             .find(|m| m.name == name)
-            .and_then(|m| match m.value {
-                MetricValue::Counter(v) => Some(v),
-                _ => None,
-            })
+            .and_then(|m| m.value.as_u64())
     }
 }
 
@@ -511,7 +510,11 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
-        assert_eq!(registry.snapshot().counter("x_total"), Some(3));
+        assert_eq!(registry.snapshot().value("x_total"), Some(3));
+        registry.gauge("g", "G.").set(-1);
+        assert_eq!(registry.snapshot().value("g"), None, "negative gauge");
+        registry.gauge("g", "G.").set(4);
+        assert_eq!(registry.snapshot().value("g"), Some(4));
     }
 
     #[test]

@@ -189,24 +189,28 @@ fn drain_buffer(buffer: &SharedBuffer) {
     }
 }
 
-fn emit(line: String) {
+/// Records `line` in the flight ring and, when `to_sink` and a sink is
+/// installed, buffers it for the sink; returns whether it was buffered.
+fn emit(line: String, to_sink: bool) -> bool {
     crate::flight::record(&line);
-    if !SINK_ACTIVE.load(Ordering::Relaxed) {
+    if !to_sink || !SINK_ACTIVE.load(Ordering::Relaxed) {
         // Flight-only mode: the ring has the record; skip the sink buffers.
-        return;
+        return false;
     }
     // `try_with`: a record emitted while this thread's TLS is already being
     // torn down is silently dropped instead of panicking.
-    let _ = THREAD.try_with(|thread| {
-        let full = {
-            let mut buffer = thread.buffer.lock().expect("trace buffer lock");
-            buffer.push(line);
-            buffer.len() >= FLUSH_THRESHOLD
-        };
-        if full {
-            drain_buffer(&thread.buffer);
-        }
-    });
+    THREAD
+        .try_with(|thread| {
+            let full = {
+                let mut buffer = thread.buffer.lock().expect("trace buffer lock");
+                buffer.push(line);
+                buffer.len() >= FLUSH_THRESHOLD
+            };
+            if full {
+                drain_buffer(&thread.buffer);
+            }
+        })
+        .is_ok()
 }
 
 /// Whether trace records are being produced — a sink is installed or the
@@ -284,7 +288,7 @@ impl FieldValue {
             FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             FieldValue::Str(s) => {
                 out.push('"');
-                crate::json_escape_into(out, s);
+                crate::json::escape_into(out, s);
                 out.push('"');
             }
         }
@@ -330,7 +334,7 @@ impl From<String> for FieldValue {
 fn push_fields(out: &mut String, fields: &[(&str, FieldValue)]) {
     for (key, value) in fields {
         out.push_str(",\"");
-        crate::json_escape_into(out, key);
+        crate::json::escape_into(out, key);
         out.push_str("\":");
         value.render_into(out);
     }
@@ -356,9 +360,22 @@ pub struct SpanGuard {
     id: u64,
     name: &'static str,
     start: Option<Instant>,
+    /// Whether the `span_open` record reached the sink.  The close goes
+    /// there only if it did, so a sink installed mid-span never receives a
+    /// close without its open.
+    sinked: bool,
 }
 
 impl SpanGuard {
+    fn disabled(name: &'static str) -> SpanGuard {
+        SpanGuard {
+            id: 0,
+            name,
+            start: None,
+            sinked: false,
+        }
+    }
+
     /// The span id (0 when tracing was disabled at open time).
     pub fn id(&self) -> u64 {
         self.id
@@ -392,20 +409,17 @@ impl Drop for SpanGuard {
                 now_us(),
                 duration
             );
-            emit(line);
+            emit(line, self.sinked);
         });
     }
 }
 
 fn open_span(name: &'static str, parent: Option<u64>, fields: &[(&str, FieldValue)]) -> SpanGuard {
     if !enabled() {
-        return SpanGuard {
-            id: 0,
-            name,
-            start: None,
-        };
+        return SpanGuard::disabled(name);
     }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    let mut sinked = false;
     let _ = THREAD.try_with(|thread| {
         let parent = parent.unwrap_or_else(|| thread.stack.borrow().last().copied().unwrap_or(0));
         thread.stack.borrow_mut().push(id);
@@ -416,12 +430,13 @@ fn open_span(name: &'static str, parent: Option<u64>, fields: &[(&str, FieldValu
         );
         push_fields(&mut line, fields);
         line.push('}');
-        emit(line);
+        sinked = emit(line, true);
     });
     SpanGuard {
         id,
         name,
         start: Some(Instant::now()),
+        sinked,
     }
 }
 
@@ -429,11 +444,7 @@ fn open_span(name: &'static str, parent: Option<u64>, fields: &[(&str, FieldValu
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
-        return SpanGuard {
-            id: 0,
-            name,
-            start: None,
-        };
+        return SpanGuard::disabled(name);
     }
     open_span(name, None, &[])
 }
@@ -442,11 +453,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 #[inline]
 pub fn span_fields(name: &'static str, fields: &[(&str, FieldValue)]) -> SpanGuard {
     if !enabled() {
-        return SpanGuard {
-            id: 0,
-            name,
-            start: None,
-        };
+        return SpanGuard::disabled(name);
     }
     open_span(name, None, fields)
 }
@@ -455,11 +462,7 @@ pub fn span_fields(name: &'static str, fields: &[(&str, FieldValue)]) -> SpanGua
 /// variant; see [`current_span_id`].
 pub fn span_child_of(name: &'static str, parent: u64, fields: &[(&str, FieldValue)]) -> SpanGuard {
     if !enabled() {
-        return SpanGuard {
-            id: 0,
-            name,
-            start: None,
-        };
+        return SpanGuard::disabled(name);
     }
     open_span(name, Some(parent), fields)
 }
@@ -472,7 +475,7 @@ pub fn event(name: &str, fields: &[(&str, FieldValue)]) {
     let _ = THREAD.try_with(|thread| {
         let parent = thread.stack.borrow().last().copied().unwrap_or(0);
         let mut line = String::from("{\"type\":\"event\",\"name\":\"");
-        crate::json_escape_into(&mut line, name);
+        crate::json::escape_into(&mut line, name);
         line.push_str(&format!(
             "\",\"parent\":{parent},\"thread\":{},\"ts_us\":{}",
             thread.id,
@@ -480,6 +483,6 @@ pub fn event(name: &str, fields: &[(&str, FieldValue)]) {
         ));
         push_fields(&mut line, fields);
         line.push('}');
-        emit(line);
+        emit(line, true);
     });
 }

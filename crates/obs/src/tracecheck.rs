@@ -1,10 +1,11 @@
 //! Trace validation: parse JSONL trace records and assert span open/close
 //! balance.  Used by `satbench --trace`, CI, and `velvc trace <file>`.
 //!
-//! The parser handles exactly the flat JSON objects the tracer emits:
-//! string, integer, float and boolean values, no nesting.  Every value is
-//! surfaced as a string (numbers and booleans in their source spelling).
+//! Records are read with [`crate::json`] and must be flat: string, number,
+//! boolean and null values, no nesting.  Every value is surfaced as a
+//! string (numbers and booleans in their source spelling).
 
+use crate::json::{self, Json};
 use std::collections::BTreeMap;
 
 /// One parsed trace record.
@@ -36,142 +37,24 @@ impl TraceRecord {
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax error.
+/// Returns a description of the first syntax error, or of the first value
+/// that is an array or object (trace records are flat).
 pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
-    let bytes = line.trim().as_bytes();
-    let mut pos = 0usize;
-
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
+    let Json::Object(map) = json::parse(line).map_err(|e| e.to_string())? else {
+        return Err("record is not a JSON object".to_string());
     };
-    let parse_string = |pos: &mut usize| -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos:?}", pos = *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while *pos < bytes.len() {
-            match bytes[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    let escape = *bytes
-                        .get(*pos)
-                        .ok_or_else(|| "dangling escape".to_string())?;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = line
-                                .trim()
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Advance one UTF-8 scalar.
-                    let s = &line.trim()[*pos..];
-                    let c = s.chars().next().ok_or_else(|| "truncated".to_string())?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    };
-
-    skip_ws(&mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return Err("record does not start with `{`".to_string());
-    }
-    pos += 1;
-    let mut record = TraceRecord::default();
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        pos += 1;
-        skip_ws(&mut pos);
-        if pos != bytes.len() {
-            return Err("trailing bytes after record".to_string());
-        }
-        return Ok(record);
-    }
-    loop {
-        skip_ws(&mut pos);
-        let key = parse_string(&mut pos)?;
-        skip_ws(&mut pos);
-        if bytes.get(pos) != Some(&b':') {
-            return Err(format!("missing `:` after key `{key}`"));
-        }
-        pos += 1;
-        skip_ws(&mut pos);
-        let value = match bytes.get(pos) {
-            Some(&b'"') => parse_string(&mut pos)?,
-            Some(&b't') if bytes[pos..].starts_with(b"true") => {
-                pos += 4;
-                "true".to_string()
-            }
-            Some(&b'f') if bytes[pos..].starts_with(b"false") => {
-                pos += 5;
-                "false".to_string()
-            }
-            Some(&b'n') if bytes[pos..].starts_with(b"null") => {
-                pos += 4;
-                "null".to_string()
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' || *c == b'+' => {
-                let start = pos;
-                while pos < bytes.len()
-                    && (bytes[pos].is_ascii_digit()
-                        || matches!(bytes[pos], b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
-                    pos += 1;
-                }
-                let text = &line.trim()[start..pos];
-                if text.parse::<f64>().is_err() {
-                    return Err(format!("bad number `{text}` for key `{key}`"));
-                }
-                text.to_string()
-            }
-            _ => {
-                return Err(format!(
-                    "unsupported value for key `{key}` (flat JSON only)"
-                ))
-            }
-        };
-        record.fields.insert(key, value);
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(&b',') => {
-                pos += 1;
-            }
-            Some(&b'}') => {
-                pos += 1;
-                break;
-            }
-            _ => return Err("expected `,` or `}`".to_string()),
-        }
-    }
-    skip_ws(&mut pos);
-    if pos != bytes.len() {
-        return Err("trailing bytes after record".to_string());
-    }
-    Ok(record)
+    let fields = map
+        .into_iter()
+        .map(|(key, value)| match value {
+            Json::String(text) | Json::Number(text) => Ok((key, text)),
+            Json::Bool(flag) => Ok((key, flag.to_string())),
+            Json::Null => Ok((key, "null".to_string())),
+            Json::Array(_) | Json::Object(_) => Err(format!(
+                "unsupported value for key `{key}` (flat JSON only)"
+            )),
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(TraceRecord { fields })
 }
 
 /// Aggregate outcome of [`check_trace`].
@@ -372,6 +255,8 @@ mod tests {
         assert!(parse_trace_line("not json").is_err());
         assert!(parse_trace_line(r#"{"a":}"#).is_err());
         assert!(parse_trace_line(r#"{"a":{"nested":1}}"#).is_err());
+        assert!(parse_trace_line(r#"{"a":[1]}"#).is_err());
+        assert!(parse_trace_line("[1]").is_err());
         assert!(parse_trace_line(r#"{"a":1} extra"#).is_err());
     }
 
@@ -433,6 +318,22 @@ mod tests {
         // A malformed member file fails the whole merge, naming the file.
         let err = check_traces(&[("client", client), ("bad", "not json")]).unwrap_err();
         assert!(err.starts_with("bad:"), "{err}");
+    }
+
+    #[test]
+    fn trace_ids_beyond_f64_precision_stay_distinct() {
+        // Both ids round to the same f64; an f64-backed reader merges them.
+        let text = concat!(
+            "{\"type\":\"span_open\",\"id\":1,\"name\":\"a\",\"trace\":18446744073709551615}\n",
+            "{\"type\":\"span_close\",\"id\":1,\"name\":\"a\"}\n",
+            "{\"type\":\"span_open\",\"id\":2,\"name\":\"b\",\"trace\":18446744073709551614}\n",
+            "{\"type\":\"span_close\",\"id\":2,\"name\":\"b\"}\n",
+        );
+        let merged = check_traces(&[("one", text)]).unwrap();
+        assert_eq!(merged.traces, 2);
+        let first = parse_trace_line(text.lines().next().unwrap()).unwrap();
+        assert_eq!(first.get_u64("trace"), Some(u64::MAX));
+        assert_eq!(first.get("trace"), Some("18446744073709551615"));
     }
 
     #[test]

@@ -78,6 +78,22 @@ fn armed_ring_captures_spans_without_a_sink_and_dumps_jsonl() {
         "ring contents dumped"
     );
 
+    // A span opened while only the ring is fed keeps its close out of a
+    // sink installed mid-span: the sink never sees a close without its open.
+    let sink = std::sync::Arc::new(velv_obs::MemorySink::new());
+    let straddling = velv_obs::span("flight_test.straddle");
+    velv_obs::install_sink(sink.clone());
+    drop(straddling);
+    {
+        let _inside = velv_obs::span("flight_test.inside");
+    }
+    velv_obs::uninstall_sink();
+    let captured = sink.contents();
+    let summary = velv_obs::check_trace(&captured).expect("balanced capture");
+    assert_eq!(summary.spans_opened, 1, "{captured}");
+    assert_eq!(summary.spans_closed, 1, "{captured}");
+    assert!(!captured.contains("flight_test.straddle"), "{captured}");
+
     // Disarming turns production back off (no sink is installed).
     velv_obs::flight::set_dump_dir(None);
     velv_obs::flight::disarm();

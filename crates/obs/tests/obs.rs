@@ -64,7 +64,7 @@ fn concurrent_counter_hammer_sums_exactly() {
         }
     });
     assert_eq!(counter.get(), expected);
-    assert_eq!(registry.snapshot().counter("hammer_total"), Some(expected));
+    assert_eq!(registry.snapshot().value("hammer_total"), Some(expected));
 }
 
 #[test]

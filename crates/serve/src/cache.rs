@@ -149,18 +149,6 @@ pub struct CacheStats {
     pub oversize: u64,
 }
 
-impl CacheStats {
-    /// Hit ratio over all lookups (0 when none were made).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 const NIL: usize = usize::MAX;
 
 struct Node {
@@ -584,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_hit_ratio() {
+    fn stats_count_hits_and_misses() {
         let cache = VerdictCache::new(1 << 20, 8);
         assert!(cache.is_empty());
         cache.insert(fp(1), verdict_of_bytes(10));
@@ -593,7 +581,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
-        assert!((stats.hit_ratio() - 0.5).abs() < 1e-9);
         assert_eq!(stats.entries, 1);
     }
 }

@@ -64,5 +64,5 @@ pub use proto::{StatsFormat, TraceContext};
 pub use server::{serve, ServerControl};
 pub use service::{
     priority_class, JobResult, JobStatus, JobTicket, ProgressRow, ServeError, ServeHandle,
-    ServiceConfig, ServiceStats,
+    ServiceConfig,
 };

@@ -176,12 +176,15 @@ fn dispatch(
         Request::Ping => Ok("ok\npong 1".to_owned()),
         Request::Stats(format) => Ok(stats_response(&handle.registry_snapshot(), format)),
         Request::Status => {
-            let stats = handle.stats();
+            // The plain registry snapshot: the queue gauges are live, and
+            // `status` skips the footprint refresh of `registry_snapshot`.
+            let snapshot = handle.registry().snapshot();
+            let gauge = |name| snapshot.value(name).unwrap_or(0);
             let mut body = format!(
                 "ok\nworkers {}\nqueued {}\nrunning {}\nshut-down {}",
                 handle.workers(),
-                stats.queued,
-                stats.running,
+                gauge("velv_serve_jobs_queued"),
+                gauge("velv_serve_jobs_running"),
                 u8::from(handle.is_shut_down()),
             );
             for row in handle.progress_rows() {

@@ -34,7 +34,7 @@
 //! handle) raises every in-flight token, joins the workers, and resolves
 //! whatever was still queued as cancelled.
 
-use crate::cache::{CacheStats, CachedVerdict, VerdictCache};
+use crate::cache::{CachedVerdict, VerdictCache};
 use crate::job::{BackendChoice, JobSpec, ParseJobError, SolveMode};
 use crate::persist;
 use crate::proto::TraceContext;
@@ -838,99 +838,6 @@ impl Counters {
     }
 }
 
-/// A point-in-time statistics snapshot of a service.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServiceStats {
-    /// Jobs submitted (including batch entries and deduplicated/cached ones).
-    pub submitted: u64,
-    /// Jobs submitted through the batch endpoint.
-    pub batch_entries: u64,
-    /// Batch groups scheduled as one shared incremental session.
-    pub batch_groups: u64,
-    /// Jobs whose result was delivered by a worker.
-    pub completed: u64,
-    /// Submissions answered straight from the verdict cache.
-    pub cache_hits: u64,
-    /// Submissions that subscribed to an in-flight identical job.
-    pub dedup_joins: u64,
-    /// Translations started (cache hits and dedup joins start none).
-    pub translations: u64,
-    /// Back-end solve runs started.
-    pub fresh_solves: u64,
-    /// Verdicts: correct designs.
-    pub correct: u64,
-    /// Verdicts: buggy designs (counterexample produced).
-    pub buggy: u64,
-    /// Verdicts: undecided (timeout, cancellation, resource limits).
-    pub unknown: u64,
-    /// Jobs abandoned because every client disconnected or the service shut
-    /// down.
-    pub cancelled: u64,
-    /// DRAT proof artifacts stored in the cache.
-    pub proofs_kept: u64,
-    /// Queued jobs shed under overload in favour of higher-priority work.
-    pub shed: u64,
-    /// Submissions rejected as busy (queue full, no lower-priority victim).
-    pub busy_rejections: u64,
-    /// Submissions rejected by the per-client in-flight quota.
-    pub quota_rejections: u64,
-    /// Worker panics contained by the pool.
-    pub worker_panics: u64,
-    /// Decided verdicts appended to the crash-safe store.
-    pub persisted: u64,
-    /// Verdicts replayed from the store into the cache at startup.
-    pub replayed: u64,
-    /// Jobs currently waiting in the queue.
-    pub queued: u64,
-    /// Jobs currently being worked on.
-    pub running: u64,
-    /// Total translation+solve time spent by workers.
-    pub solve_time: Duration,
-    /// Total submission-to-result latency over completed jobs.
-    pub wall_time: Duration,
-    /// Verdict-cache statistics.
-    pub cache: CacheStats,
-}
-
-impl ServiceStats {
-    /// Flat `(key, value)` view of the counters — the wire `stats` payload.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("submitted", self.submitted),
-            ("batch-entries", self.batch_entries),
-            ("batch-groups", self.batch_groups),
-            ("completed", self.completed),
-            ("cache-hits", self.cache_hits),
-            ("dedup-joins", self.dedup_joins),
-            ("translations", self.translations),
-            ("fresh-solves", self.fresh_solves),
-            ("correct", self.correct),
-            ("buggy", self.buggy),
-            ("unknown", self.unknown),
-            ("cancelled", self.cancelled),
-            ("proofs-kept", self.proofs_kept),
-            ("shed", self.shed),
-            ("busy-rejections", self.busy_rejections),
-            ("quota-rejections", self.quota_rejections),
-            ("worker-panics", self.worker_panics),
-            ("persisted", self.persisted),
-            ("replayed", self.replayed),
-            ("queued", self.queued),
-            ("running", self.running),
-            ("solve-micros", self.solve_time.as_micros() as u64),
-            ("wall-micros", self.wall_time.as_micros() as u64),
-            ("cache-entries", self.cache.entries),
-            ("cache-bytes", self.cache.bytes),
-            ("cache-capacity-bytes", self.cache.capacity_bytes),
-            ("cache-hits-total", self.cache.hits),
-            ("cache-misses", self.cache.misses),
-            ("cache-insertions", self.cache.insertions),
-            ("cache-evictions", self.cache.evictions),
-            ("cache-oversize", self.cache.oversize),
-        ]
-    }
-}
-
 struct QueueState {
     heap: BinaryHeap<QueuedItem>,
     seq: u64,
@@ -1018,36 +925,6 @@ struct Inner {
 }
 
 impl Inner {
-    fn stats(&self) -> ServiceStats {
-        let c = &self.counters;
-        ServiceStats {
-            submitted: c.submitted.get(),
-            batch_entries: c.batch_entries.get(),
-            batch_groups: c.batch_groups.get(),
-            completed: c.completed.get(),
-            cache_hits: c.cache_hits.get(),
-            dedup_joins: c.dedup_joins.get(),
-            translations: c.translations.get(),
-            fresh_solves: c.fresh_solves.get(),
-            correct: c.correct.get(),
-            buggy: c.buggy.get(),
-            unknown: c.unknown.get(),
-            cancelled: c.cancelled.get(),
-            proofs_kept: c.proofs_kept.get(),
-            shed: c.shed.get(),
-            busy_rejections: c.busy_rejections.get(),
-            quota_rejections: c.quota_rejections.get(),
-            worker_panics: c.worker_panics.get(),
-            persisted: c.persisted.get(),
-            replayed: c.replayed.get(),
-            queued: c.queued.get().max(0) as u64,
-            running: c.running.get().max(0) as u64,
-            solve_time: Duration::from_micros(c.solve_micros.get()),
-            wall_time: Duration::from_micros(c.wall_micros.get()),
-            cache: self.cache.stats(),
-        }
-    }
-
     /// Refreshes the snapshot-time gauges (cache residency, latency
     /// percentiles, SLO attainment) from their sources; call before
     /// snapshotting the registry.
@@ -2445,11 +2322,6 @@ impl ServeHandle {
                 self.inner.reject_busy(&state, "queue full");
             }
         }
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> ServiceStats {
-        self.inner.stats()
     }
 
     /// The live per-job progress rows (jobs currently on a worker), fed by

@@ -88,9 +88,13 @@ fn decided_verdicts_survive_a_restart_without_resolving() {
         .wait();
     assert!(buggy.verdict.is_buggy());
     let first_cex = buggy.verdict.counterexample().unwrap().clone();
-    let stats = service.stats();
-    assert_eq!(stats.persisted, 2, "both decided verdicts hit the log");
-    assert_eq!(stats.translations, 2);
+    let stats = service.registry_snapshot();
+    assert_eq!(
+        stats.value("velv_serve_verdicts_persisted_total"),
+        Some(2),
+        "both decided verdicts hit the log"
+    );
+    assert_eq!(stats.value("velv_serve_translations_total"), Some(2));
     service.shutdown();
     drop(service);
 
@@ -100,7 +104,12 @@ fn decided_verdicts_survive_a_restart_without_resolving() {
     let report = service.store_recovery().expect("a store is configured");
     assert_eq!(report.live, 2, "both records recovered: {report:?}");
     assert_eq!(report.truncated_bytes, 0, "clean shutdown leaves no tear");
-    assert_eq!(service.stats().replayed, 2);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_warm_boot_replayed_total"),
+        Some(2)
+    );
 
     let warm = service.submit(proved).expect("accepted").wait();
     assert!(warm.verdict.is_correct());
@@ -120,10 +129,18 @@ fn decided_verdicts_survive_a_restart_without_resolving() {
         "the recovered counterexample is byte-identical"
     );
 
-    let stats = service.stats();
-    assert_eq!(stats.translations, 0, "zero re-translation after replay");
-    assert_eq!(stats.fresh_solves, 0, "zero re-solve after replay");
-    assert_eq!(stats.cache_hits, 2);
+    let stats = service.registry_snapshot();
+    assert_eq!(
+        stats.value("velv_serve_translations_total"),
+        Some(0),
+        "zero re-translation after replay"
+    );
+    assert_eq!(
+        stats.value("velv_serve_fresh_solves_total"),
+        Some(0),
+        "zero re-solve after replay"
+    );
+    assert_eq!(stats.value("velv_serve_cache_hits_total"), Some(2));
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -149,8 +166,12 @@ fn store_failures_degrade_to_serving_without_persistence() {
         .expect("accepted")
         .wait();
     assert!(second.verdict.is_buggy());
-    let stats = service.stats();
-    assert_eq!(stats.persisted, 0, "nothing landed in the poisoned log");
+    let stats = service.registry_snapshot();
+    assert_eq!(
+        stats.value("velv_serve_verdicts_persisted_total"),
+        Some(0),
+        "nothing landed in the poisoned log"
+    );
     let errors: u64 = service
         .registry_snapshot()
         .flat_fields()
@@ -209,13 +230,23 @@ fn overload_sheds_the_lowest_priority_job_and_rejects_as_busy() {
         "the victim learns it was shed: {:?}",
         shed.verdict
     );
-    assert_eq!(service.stats().shed, 1);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_jobs_shed_total"),
+        Some(1)
+    );
 
     // An equal-or-lower-priority submission cannot evict anyone and bounces
     // with `Busy` — the queue never grows past its bound.
     let bounced = service.submit(JobSpec::new(ModelRef::dlx1_bug(2)));
     assert!(matches!(bounced, Err(ServeError::Busy(_))));
-    assert_eq!(service.stats().busy_rejections, 1);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_busy_rejections_total"),
+        Some(1)
+    );
     assert_eq!(high.status(), JobStatus::Queued, "the winner kept its slot");
 
     // A shed fingerprint is fully released: resubmitting it at a priority
@@ -223,8 +254,18 @@ fn overload_sheds_the_lowest_priority_job_and_rejects_as_busy() {
     let again = service
         .submit(JobSpec::new(ModelRef::dlx1_bug(0)).with_priority(9))
         .expect("accepted after shedding the priority-5 job");
-    assert_eq!(service.stats().shed, 2);
-    assert_eq!(service.stats().dedup_joins, 0);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_jobs_shed_total"),
+        Some(2)
+    );
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_dedup_joins_total"),
+        Some(0)
+    );
     assert_eq!(again.status(), JobStatus::Queued);
     let evicted = high.wait();
     assert!(unknown_reason(&evicted.verdict).contains("shed"));
@@ -243,7 +284,12 @@ fn overload_sheds_the_lowest_priority_job_and_rejects_as_busy() {
         "the admitted job was still solved"
     );
     assert!(survivor.verdict.counterexample().is_some());
-    assert_eq!(service.stats().fresh_solves, 2);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_fresh_solves_total"),
+        Some(2)
+    );
     service.shutdown();
 }
 

@@ -59,10 +59,10 @@ fn cache_hit_skips_translation_and_solver() {
     assert!(first.verdict.is_correct(), "{:?}", first.verdict);
     assert!(!first.from_cache);
 
-    let stats = service.stats();
-    assert_eq!(stats.translations, 1);
-    assert_eq!(stats.fresh_solves, 1);
-    assert_eq!(stats.cache_hits, 0);
+    let stats = service.registry_snapshot();
+    assert_eq!(stats.value("velv_serve_translations_total"), Some(1));
+    assert_eq!(stats.value("velv_serve_fresh_solves_total"), Some(1));
+    assert_eq!(stats.value("velv_serve_cache_hits_total"), Some(0));
 
     let second = service
         .submit(JobSpec::new(ModelRef::dlx1_correct()))
@@ -74,10 +74,18 @@ fn cache_hit_skips_translation_and_solver() {
 
     // The acceptance bar: a re-submitted identical job must not invoke
     // translation or a solver.
-    let stats = service.stats();
-    assert_eq!(stats.translations, 1, "no second translation");
-    assert_eq!(stats.fresh_solves, 1, "no second solve");
-    assert_eq!(stats.cache_hits, 1);
+    let stats = service.registry_snapshot();
+    assert_eq!(
+        stats.value("velv_serve_translations_total"),
+        Some(1),
+        "no second translation"
+    );
+    assert_eq!(
+        stats.value("velv_serve_fresh_solves_total"),
+        Some(1),
+        "no second solve"
+    );
+    assert_eq!(stats.value("velv_serve_cache_hits_total"), Some(1));
     service.shutdown();
 }
 
@@ -143,17 +151,32 @@ fn duplicate_submission_subscribes_to_the_running_job() {
         .submit(JobSpec::new(ModelRef::dlx1_correct()))
         .expect("accepted");
     assert_eq!(first.fingerprint(), second.fingerprint());
-    let stats = service.stats();
-    assert_eq!(stats.dedup_joins, 1, "second submission joined the first");
-    assert!(stats.translations <= 1, "no second translation scheduled");
+    let stats = service.registry_snapshot();
+    assert_eq!(
+        stats.value("velv_serve_dedup_joins_total"),
+        Some(1),
+        "second submission joined the first"
+    );
+    assert!(
+        stats.value("velv_serve_translations_total").unwrap() <= 1,
+        "no second translation scheduled"
+    );
     // Dropping only one of the two claims must NOT cancel the job ...
     drop(second);
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(service.stats().cancelled, 0);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_cancelled_total"),
+        Some(0)
+    );
     // ... dropping the last one must.
     drop(first);
     wait_until("the deduplicated job to be cancelled", || {
-        service.stats().cancelled == 1
+        service
+            .registry_snapshot()
+            .value("velv_serve_cancelled_total")
+            == Some(1)
     });
     service.shutdown();
 }
@@ -172,7 +195,10 @@ fn client_disconnect_cancels_the_running_job_and_frees_the_worker() {
     // worker must become available again.
     drop(ticket);
     wait_until("the abandoned job to be cancelled", || {
-        service.stats().cancelled == 1
+        service
+            .registry_snapshot()
+            .value("velv_serve_cancelled_total")
+            == Some(1)
     });
     let next = service
         .submit(JobSpec::new(ModelRef::dlx1_bug(0)))
@@ -248,13 +274,28 @@ fn timeouts_yield_unknown_verdicts_that_are_not_cached() {
     let spec = JobSpec::new(ModelRef::dlx1_correct()).with_timeout(Duration::from_millis(100));
     let result = service.submit(spec.clone()).expect("accepted").wait();
     assert!(matches!(result.verdict, velv_core::Verdict::Unknown(_)));
-    assert_eq!(service.stats().translations, 1);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_translations_total"),
+        Some(1)
+    );
     // Undecided verdicts must not poison the cache: the retry translates
     // and solves again instead of returning the stale timeout.
     let retry = service.submit(spec).expect("accepted").wait();
     assert!(!retry.from_cache);
-    assert_eq!(service.stats().translations, 2);
-    assert_eq!(service.stats().cache_hits, 0);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_translations_total"),
+        Some(2)
+    );
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_cache_hits_total"),
+        Some(0)
+    );
     service.shutdown();
 }
 
@@ -273,11 +314,23 @@ fn batch_matches_single_submissions_and_shares_one_session() {
     let batch_service = ServeHandle::start(ServiceConfig::default().with_workers(2));
     let tickets = batch_service.submit_batch(specs(())).expect("accepted");
     let batch_results: Vec<_> = tickets.iter().map(|t| t.wait()).collect();
-    let stats = batch_service.stats();
-    assert_eq!(stats.batch_entries, 4);
-    assert_eq!(stats.batch_groups, 1, "three unique entries, one session");
-    assert_eq!(stats.dedup_joins, 1, "the duplicate subscribed");
-    assert_eq!(stats.translations, 1, "one shared translation pass");
+    let stats = batch_service.registry_snapshot();
+    assert_eq!(stats.value("velv_serve_batch_entries_total"), Some(4));
+    assert_eq!(
+        stats.value("velv_serve_batch_groups_total"),
+        Some(1),
+        "three unique entries, one session"
+    );
+    assert_eq!(
+        stats.value("velv_serve_dedup_joins_total"),
+        Some(1),
+        "the duplicate subscribed"
+    );
+    assert_eq!(
+        stats.value("velv_serve_translations_total"),
+        Some(1),
+        "one shared translation pass"
+    );
 
     // Reference: the same specs submitted individually to a fresh service.
     let single_service = ServeHandle::start(ServiceConfig::default().with_workers(2));
@@ -340,7 +393,12 @@ fn keep_proof_stores_a_drat_artifact() {
     assert!(!proof.is_empty());
     let text = std::str::from_utf8(proof).expect("DRAT text is UTF-8");
     assert!(text.lines().last().unwrap_or("").trim_end().ends_with('0'));
-    assert_eq!(service.stats().proofs_kept, 1);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_proofs_kept_total"),
+        Some(1)
+    );
     service.shutdown();
 }
 
@@ -358,13 +416,14 @@ fn tiny_cache_evicts_under_byte_pressure() {
             .wait();
         assert!(result.verdict.is_buggy());
     }
-    let stats = service.stats();
+    let stats = service.registry_snapshot();
+    let count = |name| stats.value(name).unwrap();
     assert!(
-        stats.cache.evictions + stats.cache.oversize >= 1,
+        count("velv_serve_cache_evictions_total") + count("velv_serve_cache_oversize_total") >= 1,
         "byte pressure must evict or refuse: {:?}",
-        stats.cache
+        stats.flat_fields()
     );
-    assert!(stats.cache.bytes <= stats.cache.capacity_bytes);
+    assert!(count("velv_serve_cache_bytes") <= count("velv_serve_cache_capacity_bytes"));
     service.shutdown();
 }
 
@@ -413,7 +472,12 @@ fn resubmitting_an_abandoned_job_schedules_a_fresh_one() {
     let fresh = service
         .submit(JobSpec::new(ModelRef::dlx1_bug(0)))
         .expect("accepted");
-    assert_eq!(service.stats().dedup_joins, 0);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_dedup_joins_total"),
+        Some(0)
+    );
     drop(parked);
     wait_until("the fresh job to start running", || {
         fresh.status() != JobStatus::Queued
@@ -441,6 +505,11 @@ fn invalid_jobs_are_rejected_without_scheduling() {
         service.submit(JobSpec::new(ModelRef::dlx1_bug(10_000))),
         Err(velv_serve::ServeError::InvalidJob(_))
     ));
-    assert_eq!(service.stats().translations, 0);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .value("velv_serve_translations_total"),
+        Some(0)
+    );
     service.shutdown();
 }

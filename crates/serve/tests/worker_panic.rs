@@ -28,9 +28,13 @@ fn a_panicking_worker_yields_an_error_verdict_and_the_pool_keeps_serving() {
         }
         other => panic!("a panicked job must resolve unknown, got {other:?}"),
     }
-    let stats = service.stats();
-    assert_eq!(stats.worker_panics, 1);
-    assert_eq!(stats.persisted, 0, "panic verdicts are never persisted");
+    let stats = service.registry_snapshot();
+    assert_eq!(stats.value("velv_serve_worker_panics_total"), Some(1));
+    assert_eq!(
+        stats.value("velv_serve_verdicts_persisted_total"),
+        Some(0),
+        "panic verdicts are never persisted"
+    );
 
     // The dump landed before the panic verdict was delivered, so it is
     // already on disk here — and it holds the panicking job's span.
@@ -69,10 +73,14 @@ fn a_panicking_worker_yields_an_error_verdict_and_the_pool_keeps_serving() {
         .wait();
     assert!(retry.verdict.is_correct(), "{:?}", retry.verdict);
     assert!(!retry.from_cache, "the panic left nothing in the cache");
-    let stats = service.stats();
-    assert_eq!(stats.worker_panics, 1, "the trigger was one-shot");
-    assert_eq!(stats.fresh_solves, 1);
-    assert_eq!(stats.cache_hits, 0);
+    let stats = service.registry_snapshot();
+    assert_eq!(
+        stats.value("velv_serve_worker_panics_total"),
+        Some(1),
+        "the trigger was one-shot"
+    );
+    assert_eq!(stats.value("velv_serve_fresh_solves_total"), Some(1));
+    assert_eq!(stats.value("velv_serve_cache_hits_total"), Some(0));
 
     // And the cache works again after the incident.
     let warm = service

@@ -69,11 +69,11 @@ fn main() {
     // cache without touching a translator or solver.
     sweep(&service, catalog(), "warm sweep (cache hits)");
 
-    let stats = service.stats();
     println!("\n== service counters ==");
-    for (key, value) in stats.fields() {
-        println!("{key:<22} {value}");
+    for (key, value) in service.registry_snapshot().flat_fields() {
+        if key.starts_with("velv_serve_") && key.ends_with("_total") {
+            println!("{key:<40} {value}");
+        }
     }
-    println!("cache hit ratio: {:.1}%", 100.0 * stats.cache.hit_ratio());
     service.shutdown();
 }

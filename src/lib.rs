@@ -75,6 +75,5 @@ pub mod prelude {
     pub use velv_sat::{Budget, CancelToken, SatResult, Solver};
     pub use velv_serve::{
         JobResult, JobSpec, JobTicket, ModelRef, ServeClient, ServeHandle, ServiceConfig,
-        ServiceStats,
     };
 }

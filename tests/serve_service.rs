@@ -24,9 +24,17 @@ fn serving_layer_end_to_end() {
         fresh.verdict.counterexample(),
         cached.verdict.counterexample()
     );
-    let stats = service.stats();
-    assert_eq!(stats.translations, 1, "the cache hit translated nothing");
-    assert_eq!(stats.fresh_solves, 1, "the cache hit solved nothing");
+    let stats = service.registry_snapshot();
+    assert_eq!(
+        stats.value("velv_serve_translations_total"),
+        Some(1),
+        "the cache hit translated nothing"
+    );
+    assert_eq!(
+        stats.value("velv_serve_fresh_solves_total"),
+        Some(1),
+        "the cache hit solved nothing"
+    );
 
     // A batch over the catalog: one shared session, verdicts as expected.
     let tickets = service
@@ -42,8 +50,8 @@ fn serving_layer_end_to_end() {
     assert!(results[2].verdict.is_buggy());
     assert!(results[2].from_cache, "the batch reused the cached verdict");
 
-    let stats = service.stats();
-    assert_eq!(stats.cache_hits, 2);
-    assert!(stats.cache.entries >= 3);
+    let stats = service.registry_snapshot();
+    assert_eq!(stats.value("velv_serve_cache_hits_total"), Some(2));
+    assert!(stats.value("velv_serve_cache_entries").unwrap() >= 3);
     service.shutdown();
 }
