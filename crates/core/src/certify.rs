@@ -8,11 +8,13 @@
 //! closes the gap on both poles:
 //!
 //! * **UNSAT (the design is correct).**  The solver runs with a DRAT sink
-//!   attached (see `velv_sat::proof`), and the recorded proof is replayed by
-//!   the independent forward RUP checker of `velv_proof` against the *exact*
-//!   CNF that was solved: the translation's clauses plus every transitivity
-//!   clause asserted by the lazy refinement loop (captured through the
-//!   solver's iCNF trace).  A monolithic refutation must end in the empty
+//!   attached from its first clause on (see `velv_sat::proof`), so every
+//!   step carries hints, and the recorded proof is replayed by the
+//!   independent checker of `velv_proof` — walking each lemma's hint chain —
+//!   against the *exact* CNF that was solved: the translation's clauses plus
+//!   every transitivity clause asserted by the lazy refinement loop
+//!   (captured through the solver's iCNF trace, in the order the hints
+//!   number them).  A monolithic refutation must end in the empty
 //!   clause; an assumption-selected obligation of a shared translation must
 //!   end in a clause over its negated assumptions.
 //! * **SAT (the design is buggy).**  The model is checked against every
@@ -26,7 +28,8 @@
 //!   evaluate to *false* while the side constraints evaluate to *true*.
 //!
 //! What remains trusted is deliberately small: the EUFM → CNF translation
-//! capture, the tiny RUP checker and the EUFM evaluator.  The search — with
+//! capture, the small proof checker (a hint-chain walk with a RUP fallback)
+//! and the EUFM evaluator.  The search — with
 //! its heuristics, restarts, clause database management, garbage collection
 //! and incremental scope machinery — is entirely outside the trusted base.
 
@@ -195,6 +198,23 @@ fn trace_additions(solver: &IncrementalSolver) -> Vec<Vec<Lit>> {
             IcnfEvent::Solve(_) => None,
         })
         .collect()
+}
+
+/// The session of a certified run: traced, so the refinement clauses can be
+/// recovered, and, when UNSAT proofs are checked, logging a hinted proof
+/// whose input clauses are `cnf` followed by those refinement clauses.
+fn proof_logging_solver(
+    config: CdclConfig,
+    cnf: &CnfFormula,
+    certify: &CertifyOptions,
+) -> IncrementalSolver {
+    let mut solver = if certify.check_unsat_proofs {
+        IncrementalSolver::with_formula_and_proof(config, cnf)
+    } else {
+        IncrementalSolver::with_formula(config, cnf)
+    };
+    solver.enable_trace();
+    solver
 }
 
 /// Replays `proof` against `base` plus `added` and validates the terminal
@@ -436,9 +456,8 @@ pub(crate) fn check_certified(
             "Certified verification runs started.",
         )
         .inc();
-    let mut solver = IncrementalSolver::with_formula(config, &translation.cnf);
-    solver.enable_trace();
-    let proof = certify.check_unsat_proofs.then(|| solver.enable_proof());
+    let mut solver = proof_logging_solver(config, &translation.cnf, certify);
+    let proof = solver.proof().cloned();
     let mut stats = RefinementStats::default();
     let result = {
         let mut driver = IncrementalDriver {
@@ -547,9 +566,8 @@ pub(crate) fn check_shared_certified(
             "Certified verification runs started.",
         )
         .inc();
-    let mut solver = IncrementalSolver::with_formula(config, &shared.cnf);
-    solver.enable_trace();
-    let proof = certify.check_unsat_proofs.then(|| solver.enable_proof());
+    let mut solver = proof_logging_solver(config, &shared.cnf, certify);
+    let proof = solver.proof().cloned();
     let mut resolved = budget.started();
     resolved.max_time = None;
     let mut stats = RefinementStats::default();
@@ -721,6 +739,27 @@ mod tests {
             &CertifyOptions::full().with_trimming(),
             Budget::unlimited(),
         )
+    }
+
+    #[test]
+    fn certified_sessions_log_hints_on_every_addition() {
+        // A late-attached writer would fall back to plain DRAT and the slow
+        // RUP replay; the certified session must hint every step.
+        let verifier = Verifier::new(TranslationOptions::default());
+        let translation = verifier.translate(&PipelinedToy::correct(), &ToySpec);
+        let mut solver = proof_logging_solver(
+            CdclConfig::chaff(),
+            &translation.cnf,
+            &CertifyOptions::full(),
+        );
+        assert!(solver.solve(Budget::unlimited()).is_unsat());
+        let proof = solver.proof().expect("proof logging is on").snapshot();
+        assert!(proof.has_hints());
+        for (index, step) in proof.steps().iter().enumerate() {
+            if step.is_addition() {
+                assert!(!proof.hints(index).is_empty(), "addition {index}");
+            }
+        }
     }
 
     #[test]

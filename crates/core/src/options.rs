@@ -211,8 +211,11 @@ pub struct CertifyOptions {
     /// counterexample.
     pub validate_counterexamples: bool,
     /// Backward-trim verified proofs and report the used-clause core (which
-    /// input clauses the refutation actually depends on).  Costs extra
-    /// checker memory; off by default.
+    /// input clauses the refutation actually depends on).  Certified runs
+    /// log hinted proofs, so the trim is the backward closure over the hint
+    /// lists from the terminal steps: two bitmaps and one pass over the
+    /// hints.  A proof without hints is trimmed by the RUP checker, which
+    /// keeps one antecedent list per addition.  Off by default.
     pub trim_proofs: bool,
 }
 

@@ -1,7 +1,8 @@
-//! A forward RUP checker for DRAT proofs, with deletion handling and backward
-//! trimming.
+//! The proof checker: [`check_proof`] verifies a proof that carries hints by
+//! walking them (the hint format is in the crate documentation), and a plain DRAT proof with the
+//! forward RUP checker below, with deletion handling and backward trimming.
 //!
-//! The checker maintains its own clause database over DIMACS-coded `i32`
+//! The RUP checker maintains its own clause database over DIMACS-coded `i32`
 //! literals with a small two-watched-literal propagation core — written from
 //! scratch, sharing nothing with the `velv_sat` solver whose proofs it audits.
 //!
@@ -22,7 +23,7 @@
 //! `¬a₁ ∨ … ∨ ¬aₖ` certifies unsatisfiability under the assumptions
 //! `a₁ … aₖ`.
 //!
-//! **Backward trimming.**  With [`CheckOptions::trim`] the checker records,
+//! **Backward trimming.**  With [`CheckOptions::trim`] the RUP checker records,
 //! for each verified step, the clauses participating in its conflict cone,
 //! then walks the proof backwards from the terminal step marking what was
 //! actually used.  The report lists the used input clauses (the core) and how
@@ -35,8 +36,9 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct CheckOptions {
     /// Backward-trim the verified proof: report which input clauses and which
-    /// proof steps the terminal step(s) actually depend on.  Costs extra
-    /// memory (one antecedent list per addition step).
+    /// proof steps the terminal step(s) actually depend on.  For a hinted
+    /// proof this is the backward closure over the hint lists and costs two
+    /// bitmaps; the RUP path records one antecedent list per addition step.
     pub trim: bool,
     /// Step indices seeding the backward trim.  Empty means "the last
     /// addition step" (the usual single-refutation case); a multi-query
@@ -59,6 +61,9 @@ pub struct CheckReport {
     /// Whether the proof derives the empty clause (the formula is
     /// unsatisfiable outright).
     pub derived_empty: bool,
+    /// Whether the proof was verified by walking its hints rather than by
+    /// reverse unit propagation.
+    pub hinted: bool,
     /// Indices of the input clauses used by the trimmed proof
     /// (only with [`CheckOptions::trim`]).
     pub input_core: Option<Vec<usize>>,
@@ -71,7 +76,8 @@ pub struct CheckReport {
 #[derive(Clone, Debug)]
 pub enum CheckError {
     /// The addition at `step` is not RUP: asserting the negation of its
-    /// literals and propagating did not produce a conflict.
+    /// literals and propagating did not produce a conflict, or, in a hinted
+    /// proof, its hint chain does not derive it.
     StepNotRup {
         /// Index of the offending step in the proof.
         step: usize,
@@ -456,7 +462,10 @@ enum ConeSeed {
 ///
 /// Every `Add` step must be RUP with respect to the clause database at that
 /// point of the proof; verified additions join the database, deletions leave
-/// it.  On success the report says whether the empty clause was derived and,
+/// it.  A proof that carries hints ([`Proof::has_hints`]) is verified by
+/// walking each addition's hint chain, where hint `Input(i)` names `cnf[i]`;
+/// every addition must then have a chain that derives it.  A proof without
+/// hints is verified by reverse unit propagation.  On success the report says whether the empty clause was derived and,
 /// with [`CheckOptions::trim`], which input clauses the terminal step
 /// transitively used.
 ///
@@ -472,11 +481,35 @@ pub fn check_proof(
 ) -> Result<CheckReport, CheckError> {
     let _span = velv_obs::span_fields(
         "proof.check",
-        &[("clauses", cnf.len().into()), ("steps", proof.len().into())],
+        &[
+            ("clauses", cnf.len().into()),
+            ("steps", proof.len().into()),
+            ("hinted", proof.has_hints().into()),
+        ],
     );
     velv_obs::global()
         .counter("velv_proof_checks_total", "Proof-checker runs started.")
         .inc();
+    let report = if proof.has_hints() {
+        crate::hinted::check_hinted(cnf, proof, options)?
+    } else {
+        check_rup(cnf, proof, options)?
+    };
+    velv_obs::global()
+        .counter(
+            "velv_proof_steps_total",
+            "Proof steps verified (additions and deletions).",
+        )
+        .add((report.additions + report.deletions) as u64);
+    Ok(report)
+}
+
+/// The RUP path of [`check_proof`].
+fn check_rup(
+    cnf: &[Vec<i32>],
+    proof: &Proof,
+    options: &CheckOptions,
+) -> Result<CheckReport, CheckError> {
     let mut checker = Checker::new(options.trim);
     for (index, clause) in cnf.iter().enumerate() {
         if clause.contains(&0) {
@@ -522,12 +555,6 @@ pub fn check_proof(
             }
         }
     }
-    velv_obs::global()
-        .counter(
-            "velv_proof_steps_total",
-            "Proof steps verified (additions and deletions).",
-        )
-        .add((additions + deletions) as u64);
     let (input_core, trimmed_additions) = if options.trim {
         let num_inputs = cnf.len();
         // Seed the backward pass: every requested terminal step, or the last
@@ -568,6 +595,7 @@ pub fn check_proof(
         deletions,
         ignored_deletions,
         derived_empty: checker.root_conflict,
+        hinted: false,
         input_core,
         trimmed_additions,
     })

@@ -7,6 +7,12 @@
 //! `d`); the binary format prefixes each step with `a` (0x61) or `d` (0x64)
 //! and encodes each literal as the variable-length 7-bit integer
 //! `2·|lit| + (lit < 0)`, terminated by a zero byte.
+//!
+//! A proof may also carry LRAT-style *hints*: per step, a list of
+//! [`ClauseId`]s.  An addition's hints name the clauses whose unit
+//! propagation derives it, in order, ending with the clause that conflicts; a
+//! deletion's single hint names the clause it removes.  The DRAT encodings
+//! carry literals only, so hints do not survive a text or binary round trip.
 
 use std::fmt;
 use std::io::{self, Write};
@@ -36,11 +42,60 @@ impl ProofStep {
     }
 }
 
+/// The clause a hint names: an input clause, by its index in the clause list
+/// the proof is checked against, or an earlier addition, by its proof-step
+/// index.  Encoded in one `u32`; the top bit tells the two apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClauseId {
+    /// The input clause at this index.
+    Input(usize),
+    /// The clause added by the proof step at this index.
+    Step(usize),
+}
+
+/// Tag bit of an encoded [`ClauseId::Step`].
+const STEP_TAG: u32 = 1 << 31;
+
+impl ClauseId {
+    /// The `u32` encoding stored in a proof's hint buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index does not fit in 31 bits.
+    pub fn encode(self) -> u32 {
+        let (index, tag) = match self {
+            ClauseId::Input(index) => (index, 0),
+            ClauseId::Step(index) => (index, STEP_TAG),
+        };
+        let index = u32::try_from(index)
+            .ok()
+            .filter(|&i| i < STEP_TAG)
+            .expect("clause index fits in 31 bits");
+        index | tag
+    }
+
+    /// Decodes a hint.
+    pub fn decode(raw: u32) -> Self {
+        if raw & STEP_TAG == 0 {
+            ClauseId::Input(raw as usize)
+        } else {
+            ClauseId::Step((raw & !STEP_TAG) as usize)
+        }
+    }
+}
+
 /// An ordered DRAT proof: the additions and deletions a solver performed, in
-/// the order it performed them.
+/// the order it performed them, optionally with the hints of each step.
+///
+/// Hints are stored flat: one `u32` buffer for the whole proof plus the end
+/// offset of each step's slice.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Proof {
     steps: Vec<ProofStep>,
+    /// Encoded [`ClauseId`]s of every step, concatenated.
+    hints: Vec<u32>,
+    /// Per step: the end of its slice of `hints`.
+    hint_ends: Vec<u32>,
 }
 
 impl Proof {
@@ -49,14 +104,59 @@ impl Proof {
         Proof::default()
     }
 
-    /// Appends a clause addition.
+    /// Appends a clause addition without hints.
     pub fn add(&mut self, lits: Vec<i32>) {
-        self.steps.push(ProofStep::Add(lits));
+        self.push(ProofStep::Add(lits), &[]);
     }
 
-    /// Appends a clause deletion.
+    /// Appends a clause deletion without hints.
     pub fn delete(&mut self, lits: Vec<i32>) {
-        self.steps.push(ProofStep::Delete(lits));
+        self.push(ProofStep::Delete(lits), &[]);
+    }
+
+    /// Appends a clause addition with its hint chain (encoded [`ClauseId`]s).
+    pub fn add_hinted(&mut self, lits: Vec<i32>, hints: &[u32]) {
+        self.push(ProofStep::Add(lits), hints);
+    }
+
+    /// Appends the deletion of the clause with the encoded ID `id`.
+    pub fn delete_hinted(&mut self, lits: Vec<i32>, id: u32) {
+        self.push(ProofStep::Delete(lits), &[id]);
+    }
+
+    fn push(&mut self, step: ProofStep, hints: &[u32]) {
+        self.steps.push(step);
+        self.hints.extend_from_slice(hints);
+        let end = u32::try_from(self.hints.len()).expect("hint buffer fits in u32 offsets");
+        self.hint_ends.push(end);
+    }
+
+    /// The encoded hints of the step at `index` (empty when it has none or
+    /// does not exist).
+    pub fn hints(&self, index: usize) -> &[u32] {
+        let Some(&end) = self.hint_ends.get(index) else {
+            return &[];
+        };
+        let start = match index {
+            0 => 0,
+            _ => self.hint_ends[index - 1],
+        };
+        &self.hints[start as usize..end as usize]
+    }
+
+    /// Whether any step carries hints.  The checker verifies a proof with
+    /// hints by walking them, and one without by reverse unit propagation.
+    pub fn has_hints(&self) -> bool {
+        !self.hints.is_empty()
+    }
+
+    /// The same steps with every hint dropped: a plain DRAT proof.
+    pub fn without_hints(&self) -> Proof {
+        let mut plain = Proof::new();
+        for step in &self.steps {
+            plain.push(step.clone(), &[]);
+        }
+        plain
     }
 
     /// The steps of the proof, in order.
@@ -364,6 +464,37 @@ mod tests {
         assert!(parse_binary(&[b'x', 0]).is_err(), "bad tag");
         assert!(parse_binary(&[b'a', 0x82]).is_err(), "truncated varint");
         assert!(parse_binary(&[b'a', 2]).is_err(), "missing terminator");
+    }
+
+    #[test]
+    fn clause_ids_round_trip() {
+        for id in [
+            ClauseId::Input(0),
+            ClauseId::Input(12_345),
+            ClauseId::Step(0),
+            ClauseId::Step((1 << 31) - 1),
+        ] {
+            assert_eq!(ClauseId::decode(id.encode()), id);
+        }
+        assert_ne!(ClauseId::Input(3).encode(), ClauseId::Step(3).encode());
+    }
+
+    #[test]
+    fn hints_are_stored_per_step() {
+        let mut proof = Proof::new();
+        proof.add_hinted(vec![1], &[4, 5]);
+        proof.add(vec![2]);
+        proof.delete_hinted(vec![1], 7);
+        proof.add_hinted(vec![], &[8]);
+        assert!(proof.has_hints());
+        assert_eq!(proof.hints(0), &[4, 5]);
+        assert!(proof.hints(1).is_empty());
+        assert_eq!(proof.hints(2), &[7]);
+        assert_eq!(proof.hints(3), &[8]);
+        assert!(proof.hints(9).is_empty());
+        let plain = proof.without_hints();
+        assert!(!plain.has_hints());
+        assert_eq!(plain.steps(), proof.steps());
     }
 
     #[test]

@@ -42,11 +42,23 @@
 //! * **O(1) locked-clause checks** — a clause is locked exactly when it is
 //!   the recorded reason of its first literal, so clause-database reduction
 //!   asks the `reason` array instead of scanning the trail.
+//!
+//! # Proof logging
+//!
+//! With a [`ProofWriter`] attached from the first clause on, every proof
+//! step carries hints ([`velv_proof::ClauseId`]s) that the checker walks
+//! instead of re-propagating.  Each arena clause is then preceded by one word
+//! holding its ID, and each variable fixed at the root gets a unit lemma the
+//! first time it is fixed, so later chains cite it by one ID.  A learned
+//! clause's chain is the units of the root literals its analysis dropped,
+//! then the resolved reasons in trail order, then the conflicting clause.
+//! Without a writer none of this state exists.
 
 use crate::cnf::{CnfFormula, Lit, Var};
 use crate::proof::{ProofWriter, SharedProof};
 use crate::rng::SmallRng;
 use crate::solver::{Budget, Model, SatResult, Solver, SolverStats, StopReason};
+use velv_proof::ClauseId;
 
 /// Tuning knobs of the CDCL engine.
 #[derive(Clone, Debug)]
@@ -197,8 +209,7 @@ impl CdclSolver {
         budget: Budget,
         writer: Box<dyn ProofWriter>,
     ) -> SatResult {
-        let mut engine = Engine::new(cnf, self.config.clone());
-        engine.set_proof_writer(writer);
+        let mut engine = Engine::new(cnf, self.config.clone(), Some(writer));
         let result = engine.search(assumptions, budget);
         self.stats = engine.stats;
         result
@@ -229,7 +240,7 @@ impl Solver for CdclSolver {
     }
 
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
-        let mut engine = Engine::new(cnf, self.config.clone());
+        let mut engine = Engine::new(cnf, self.config.clone(), None);
         let result = engine.run(budget);
         self.stats = engine.stats;
         result
@@ -244,7 +255,7 @@ impl Solver for CdclSolver {
         assumptions: &[Lit],
         budget: Budget,
     ) -> SatResult {
-        let mut engine = Engine::new(cnf, self.config.clone());
+        let mut engine = Engine::new(cnf, self.config.clone(), None);
         let result = engine.search(assumptions, budget);
         self.stats = engine.stats;
         result
@@ -288,23 +299,32 @@ struct ClauseArena {
     data: Vec<u32>,
     /// Words occupied by deleted clauses; drives garbage collection.
     wasted: usize,
+    /// Every clause is preceded by one word holding its proof ID (hinted
+    /// proof logging only).
+    with_ids: bool,
 }
 
 impl ClauseArena {
-    fn with_capacity(words: usize) -> Self {
+    fn with_capacity(words: usize, with_ids: bool) -> Self {
         ClauseArena {
             data: Vec::with_capacity(words),
             wasted: 0,
+            with_ids,
         }
     }
 
-    fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+    /// Allocates a clause; `id` is stored only in an arena `with_ids`.
+    fn alloc(&mut self, lits: &[Lit], learnt: bool, id: u32) -> ClauseRef {
+        let id_words = usize::from(self.with_ids);
         // ClauseRef is a u32 word offset: fail loudly rather than wrap once a
         // run (e.g. grasp, which never deletes) outgrows the address space.
         assert!(
-            self.data.len() + HEADER_WORDS + lits.len() < UNDEF_CLAUSE as usize,
+            self.data.len() + id_words + HEADER_WORDS + lits.len() < UNDEF_CLAUSE as usize,
             "clause arena exceeds the u32 address space"
         );
+        if self.with_ids {
+            self.data.push(id);
+        }
         let cref = self.data.len() as ClauseRef;
         let flags = if learnt { FLAG_LEARNT } else { 0 };
         self.data.push((lits.len() as u32) << 3 | flags);
@@ -328,9 +348,16 @@ impl ClauseArena {
         self.data[c as usize] & FLAG_DELETED != 0
     }
 
+    /// The proof ID of a clause of an arena `with_ids`.
+    #[inline]
+    fn id(&self, c: ClauseRef) -> u32 {
+        debug_assert!(self.with_ids);
+        self.data[c as usize - 1]
+    }
+
     fn delete(&mut self, c: ClauseRef) {
         debug_assert!(!self.is_deleted(c));
-        let words = HEADER_WORDS + self.len(c);
+        let words = usize::from(self.with_ids) + HEADER_WORDS + self.len(c);
         self.data[c as usize] |= FLAG_DELETED;
         self.wasted += words;
     }
@@ -368,10 +395,11 @@ impl ClauseArena {
             return self.data[c as usize + 1];
         }
         debug_assert!(!self.is_deleted(c));
+        let id_words = usize::from(self.with_ids);
         let words = HEADER_WORDS + self.len(c);
-        let nref = to.data.len() as ClauseRef;
+        let nref = (to.data.len() + id_words) as ClauseRef;
         to.data
-            .extend_from_slice(&self.data[c as usize..c as usize + words]);
+            .extend_from_slice(&self.data[c as usize - id_words..c as usize + words]);
         self.data[c as usize] |= FLAG_RELOCATED;
         self.data[c as usize + 1] = nref;
         nref
@@ -545,28 +573,113 @@ pub(crate) struct Engine {
     /// [`crate::obs`]): counters are delta-flushed from `stats` at heartbeat
     /// boundaries and at the end of every `search` call.
     obs: crate::obs::EngineObs,
+    /// Input clauses received so far (the initial formula, then every
+    /// clause added between solves): the index of the next one.
+    num_inputs: usize,
     /// Optional DRAT sink: learned clauses, deletions, the root empty clause
     /// and the final clause of failing assumption queries are recorded here.
-    proof: Option<Box<dyn ProofWriter>>,
+    proof: Option<Box<ProofLog>>,
     /// Reusable buffer for proof steps read out of the arena.
     proof_buf: Vec<Lit>,
-    /// Whether the empty clause has already been emitted to the proof.
-    proof_empty_logged: bool,
+}
+
+/// Unit ID of a variable not (yet) fixed at the root.
+const NO_ID: u32 = u32::MAX;
+
+/// Proof-logging state; exists only while a [`ProofWriter`] is attached.
+struct ProofLog {
+    writer: Box<dyn ProofWriter>,
+    /// Whether steps carry hints: the writer saw every clause the engine
+    /// received, so each clause and root fact has a known ID.
+    hinted: bool,
+    /// Steps written so far: the index of the next one.
+    steps: usize,
+    /// Per variable: the ID of the unit clause fixing it at the root.
+    unit_ids: Vec<u32>,
+    /// The hint chain of the next addition.
+    hints: Vec<u32>,
+    /// Reason IDs collected against trail order during an analysis.
+    reasons: Vec<u32>,
+    /// Root variables whose unit is in `hints`, with their `seen` flag set.
+    marked: Vec<usize>,
+    /// Whether the empty clause has been written.
+    empty_logged: bool,
+}
+
+impl ProofLog {
+    /// Starts a new hint chain.
+    fn begin(&mut self) {
+        self.hints.clear();
+        self.reasons.clear();
+    }
+
+    /// Cites the unit of root variable `v`, once per chain.
+    fn root(&mut self, seen: &mut [bool], v: usize) {
+        if !seen[v] {
+            seen[v] = true;
+            self.marked.push(v);
+            self.hints.push(self.unit_ids[v]);
+        }
+    }
+
+    /// Ends a chain: the collected reasons follow the root units in trail
+    /// order, so the last one is the clause visited first.
+    fn end(&mut self, seen: &mut [bool]) {
+        for v in self.marked.drain(..) {
+            seen[v] = false;
+        }
+        self.hints.extend(self.reasons.drain(..).rev());
+    }
+
+    /// Writes an addition with the current chain; returns its ID.
+    fn add(&mut self, lits: &[Lit]) -> u32 {
+        let hints: &[u32] = if self.hinted { &self.hints } else { &[] };
+        self.writer.add_clause(lits, hints);
+        self.empty_logged |= lits.is_empty();
+        self.next_step()
+    }
+
+    /// Writes the deletion of the clause `id` (ignored without hints).
+    fn delete(&mut self, lits: &[Lit], id: u32) {
+        self.writer.delete_clause(lits, self.hinted.then_some(id));
+        self.next_step();
+    }
+
+    /// The ID of the step just written (0 without hints).
+    fn next_step(&mut self) -> u32 {
+        self.steps += 1;
+        if self.hinted {
+            ClauseId::Step(self.steps - 1).encode()
+        } else {
+            0
+        }
+    }
 }
 
 impl Engine {
-    pub(crate) fn new(cnf: &CnfFormula, config: CdclConfig) -> Self {
+    /// Builds an engine over `cnf`; a `proof` writer attached here sees
+    /// every clause, so its steps carry hints.
+    pub(crate) fn new(
+        cnf: &CnfFormula,
+        config: CdclConfig,
+        proof: Option<Box<dyn ProofWriter>>,
+    ) -> Self {
         let _mem_scope = velv_obs::MemScope::enter("sat.arena");
         let num_vars = cnf.num_vars();
         let seed = config.seed;
         let use_heap = !config.static_order;
-        let arena_words = cnf.num_literals() + HEADER_WORDS * cnf.num_clauses();
+        let id_words = if proof.is_some() {
+            cnf.num_clauses()
+        } else {
+            0
+        };
+        let arena_words = cnf.num_literals() + HEADER_WORDS * cnf.num_clauses() + id_words;
         let obs = crate::obs::EngineObs::new(&config.name);
         let mut engine = Engine {
             config,
             stats: SolverStats::default(),
             num_vars,
-            arena: ClauseArena::with_capacity(arena_words),
+            arena: ClauseArena::with_capacity(arena_words, false),
             watches: vec![Vec::new(); 2 * num_vars],
             vals: vec![VAL_UNDEF; num_vars],
             level: vec![0; num_vars],
@@ -591,10 +704,13 @@ impl Engine {
             unsat: false,
             final_core: Vec::new(),
             obs,
+            num_inputs: 0,
             proof: None,
             proof_buf: Vec::new(),
-            proof_empty_logged: false,
         };
+        if let Some(writer) = proof {
+            engine.set_proof_writer(writer);
+        }
         // Give every variable an initial (small) activity based on occurrence count.
         for clause in cnf.clauses() {
             for lit in clause {
@@ -612,6 +728,7 @@ impl Engine {
                 break;
             }
         }
+        engine.num_inputs = cnf.num_clauses();
         engine
     }
 
@@ -630,6 +747,9 @@ impl Engine {
         self.phase.resize(n, false);
         self.seen.resize(n, false);
         self.heap.grow(n);
+        if let Some(log) = self.proof.as_deref_mut().filter(|log| log.hinted) {
+            log.unit_ids.resize(n, NO_ID);
+        }
         if self.use_heap {
             for v in self.num_vars..n {
                 self.heap.insert(v, &self.activity);
@@ -686,58 +806,197 @@ impl Engine {
     /// Attaches a DRAT proof sink.  From here on every learned clause, every
     /// clause deletion and the terminal clause of each UNSAT answer are
     /// recorded, making the engine's refutations independently checkable.
+    /// The steps carry hints only if the engine has not received a clause
+    /// yet (hints name clauses by ID, and earlier clauses have none) and the
+    /// sink accepts them.
     pub(crate) fn set_proof_writer(&mut self, writer: Box<dyn ProofWriter>) {
-        self.proof = Some(writer);
+        let hinted = self.num_inputs == 0 && writer.accepts_hints();
+        debug_assert!(!hinted || self.arena.data.is_empty());
+        self.arena.with_ids = hinted;
+        self.proof = Some(Box::new(ProofLog {
+            writer,
+            hinted,
+            steps: 0,
+            unit_ids: if hinted {
+                vec![NO_ID; self.num_vars]
+            } else {
+                Vec::new()
+            },
+            hints: Vec::new(),
+            reasons: Vec::new(),
+            marked: Vec::new(),
+            empty_logged: false,
+        }));
     }
 
-    /// Records the clause currently held in `learnt_buf` as a proof addition.
-    fn proof_log_learnt(&mut self) {
-        if let Some(proof) = self.proof.as_mut() {
-            proof.add_clause(&self.learnt_buf);
+    /// Whether the attached proof log records hints.
+    fn hinted(&self) -> bool {
+        self.proof.as_ref().is_some_and(|log| log.hinted)
+    }
+
+    /// The ID of the next input clause (0 without hints).
+    fn next_input_id(&mut self) -> u32 {
+        self.num_inputs += 1;
+        if self.hinted() {
+            ClauseId::Input(self.num_inputs - 1).encode()
+        } else {
+            0
         }
     }
 
-    /// Records the empty clause (at most once): the formula is refuted.
-    fn proof_log_empty(&mut self) {
-        if self.proof_empty_logged {
+    /// Records the clause currently held in `learnt_buf`, with the chain its
+    /// analysis built, as a proof addition; returns its ID.
+    fn proof_log_learnt(&mut self) -> u32 {
+        match self.proof.as_deref_mut() {
+            Some(log) => log.add(&self.learnt_buf),
+            None => 0,
+        }
+    }
+
+    /// Records the ID of a literal just fixed at the root by a unit clause.
+    fn proof_note_unit(&mut self, lit: Lit, id: u32) {
+        if let Some(log) = self.proof.as_deref_mut().filter(|log| log.hinted) {
+            log.unit_ids[lit.var().index()] = id;
+        }
+    }
+
+    // Hint-chain construction.  Each helper is a no-op unless the proof log
+    // records hints, and stays out of line so that the search loops calling
+    // it stay small.
+
+    /// Starts the hint chain of the next proof step.
+    #[inline(never)]
+    fn hint_begin(&mut self) {
+        if let Some(log) = self.proof.as_deref_mut().filter(|log| log.hinted) {
+            log.begin();
+        }
+    }
+
+    /// Cites the unit of root variable `v`.
+    #[inline(never)]
+    fn hint_root(&mut self, v: usize) {
+        if let Some(log) = self.proof.as_deref_mut().filter(|log| log.hinted) {
+            log.root(&mut self.seen, v);
+        }
+    }
+
+    /// Collects the clause with proof ID `id` as a resolved reason.
+    #[inline(never)]
+    fn hint_reason(&mut self, id: u32) {
+        if let Some(log) = self.proof.as_deref_mut().filter(|log| log.hinted) {
+            log.reasons.push(id);
+        }
+    }
+
+    /// Collects arena clause `c` as a resolved reason.
+    #[inline(never)]
+    fn hint_clause(&mut self, c: ClauseRef) {
+        if self.hinted() {
+            self.hint_reason(self.arena.id(c));
+        }
+    }
+
+    /// Ends the chain: root units first, then the reasons in trail order.
+    #[inline(never)]
+    fn hint_end(&mut self) {
+        if let Some(log) = self.proof.as_deref_mut().filter(|log| log.hinted) {
+            log.end(&mut self.seen);
+        }
+    }
+
+    /// Records the unit lemma of `lit`, just propagated at the root by
+    /// `reason`: the units of the reason's other literals, then the reason.
+    /// Kept out of line so that `enqueue` stays small on the hot path.
+    #[cold]
+    #[inline(never)]
+    fn proof_log_root_unit(&mut self, lit: Lit, reason: ClauseRef) {
+        if !self.hinted() {
             return;
         }
-        if let Some(proof) = self.proof.as_mut() {
-            proof.add_clause(&[]);
-            self.proof_empty_logged = true;
+        self.hint_begin();
+        for k in 0..self.arena.len(reason) {
+            let q = self.arena.lit(reason, k);
+            if q != lit {
+                self.hint_root(q.var().index());
+            }
+        }
+        self.hint_clause(reason);
+        self.hint_end();
+        if let Some(log) = self.proof.as_deref_mut() {
+            log.unit_ids[lit.var().index()] = log.add(&[lit]);
+        }
+    }
+
+    /// Records the empty clause, derived from the clause `id` whose literals
+    /// `falsified` are all false at the root.
+    fn proof_log_refutation(&mut self, falsified: &[Lit], id: u32) {
+        if self.proof.as_ref().is_none_or(|log| log.empty_logged) {
+            return;
+        }
+        self.hint_begin();
+        for lit in falsified {
+            self.hint_root(lit.var().index());
+        }
+        self.hint_reason(id);
+        self.hint_end();
+        if let Some(log) = self.proof.as_deref_mut() {
+            log.add(&[]);
+        }
+    }
+
+    /// Records the empty clause of a conflict at the root.
+    fn proof_log_root_conflict(&mut self, conflict: ClauseRef) {
+        if self.proof.is_none() {
+            return;
+        }
+        let mut falsified = std::mem::take(&mut self.proof_buf);
+        falsified.clear();
+        falsified.extend((0..self.arena.len(conflict)).map(|k| self.arena.lit(conflict, k)));
+        let id = if self.hinted() {
+            self.arena.id(conflict)
+        } else {
+            0
+        };
+        self.proof_log_refutation(&falsified, id);
+        self.proof_buf = falsified;
+    }
+
+    /// Records the empty clause (at most once) without a chain, for a
+    /// refutation that predates the writer.
+    fn proof_log_empty(&mut self) {
+        if let Some(log) = self.proof.as_deref_mut() {
+            if !log.empty_logged {
+                log.begin();
+                log.add(&[]);
+            }
         }
     }
 
     /// Records the terminal clause of a failing assumption query: the
     /// disjunction of the negated final-core literals, which is RUP with
     /// respect to the clause database (resolving the reasons along the final
-    /// conflict's implication graph yields exactly this clause).
+    /// conflict's implication graph yields exactly this clause, and
+    /// `analyze_final` built that chain).
     fn proof_log_final_core(&mut self) {
-        if self.proof.is_none() {
+        let Some(log) = self.proof.as_deref_mut() else {
             return;
-        }
+        };
         self.proof_buf.clear();
-        for i in 0..self.final_core.len() {
-            let assumption = self.final_core[i];
-            self.proof_buf.push(!assumption);
-        }
-        if let Some(proof) = self.proof.as_mut() {
-            proof.add_clause(&self.proof_buf);
-        }
+        self.proof_buf.extend(self.final_core.iter().map(|&a| !a));
+        log.add(&self.proof_buf);
     }
 
     /// Records the deletion of an arena clause.
     fn proof_log_delete(&mut self, cref: ClauseRef) {
-        if self.proof.is_none() {
+        let Some(log) = self.proof.as_deref_mut() else {
             return;
-        }
+        };
         self.proof_buf.clear();
         for k in 0..self.arena.len(cref) {
             self.proof_buf.push(self.arena.lit(cref, k));
         }
-        if let Some(proof) = self.proof.as_mut() {
-            proof.delete_clause(&self.proof_buf);
-        }
+        let id = if log.hinted { self.arena.id(cref) } else { 0 };
+        log.delete(&self.proof_buf, id);
     }
 
     /// Adds a clause between solves.  The engine first returns to decision
@@ -747,6 +1006,7 @@ impl Engine {
     /// and propagated by the next [`Engine::search`]; an empty clause marks
     /// the formula unsatisfiable.
     pub(crate) fn add_clause_dynamic(&mut self, lits: &[Lit]) {
+        let input = self.next_input_id();
         if self.unsat {
             return;
         }
@@ -767,17 +1027,36 @@ impl Engine {
         if clause.iter().any(|&l| self.value_lit(l) == VAL_TRUE) {
             return; // satisfied at the root forever
         }
-        clause.retain(|&l| self.value_lit(l) != VAL_FALSE);
+        let mut id = input;
+        if clause.iter().any(|&l| self.value_lit(l) == VAL_FALSE) {
+            // The stored clause is a strengthening of the caller's: a proof
+            // step derived from it and the units of the dropped literals.
+            self.hint_begin();
+            for &l in &clause {
+                if self.value_lit(l) == VAL_FALSE {
+                    self.hint_root(l.var().index());
+                }
+            }
+            self.hint_reason(input);
+            self.hint_end();
+            clause.retain(|&l| self.value_lit(l) != VAL_FALSE);
+            if let Some(log) = self.proof.as_deref_mut() {
+                id = log.add(&clause);
+            }
+        }
         match clause.len() {
             0 => {
-                // Every literal is false at the root: the empty clause is RUP
-                // from the caller's clause and the root-level units.
+                // The caller's clause is empty, or every literal is false at
+                // the root and the strengthening above wrote the empty clause.
                 self.unsat = true;
-                self.proof_log_empty();
+                self.proof_log_refutation(&[], input);
             }
-            1 => self.enqueue(clause[0], UNDEF_CLAUSE),
+            1 => {
+                self.enqueue(clause[0], UNDEF_CLAUSE);
+                self.proof_note_unit(clause[0], id);
+            }
             _ => {
-                let cref = self.arena.alloc(&clause, false);
+                let cref = self.arena.alloc(&clause, false, id);
                 self.watch(clause[0], cref, clause[1]);
                 self.watch(clause[1], cref, clause[0]);
             }
@@ -785,18 +1064,28 @@ impl Engine {
     }
 
     fn add_initial_clause(&mut self, lits: &[Lit]) {
+        let id = self.next_input_id();
         match lits.len() {
-            0 => self.unsat = true,
+            0 => {
+                self.unsat = true;
+                self.proof_log_refutation(&[], id);
+            }
             1 => {
                 let lit = lits[0];
                 match self.value_lit(lit) {
                     VAL_TRUE => {}
-                    VAL_FALSE => self.unsat = true,
-                    _ => self.enqueue(lit, UNDEF_CLAUSE),
+                    VAL_FALSE => {
+                        self.unsat = true;
+                        self.proof_log_refutation(lits, id);
+                    }
+                    _ => {
+                        self.enqueue(lit, UNDEF_CLAUSE);
+                        self.proof_note_unit(lit, id);
+                    }
                 }
             }
             _ => {
-                let cref = self.arena.alloc(lits, false);
+                let cref = self.arena.alloc(lits, false, id);
                 self.watch(lits[0], cref, lits[1]);
                 self.watch(lits[1], cref, lits[0]);
             }
@@ -833,6 +1122,9 @@ impl Engine {
         // on them), and recording none keeps their clauses unlocked so that
         // incremental sessions may retract scope clauses safely.
         self.reason[var] = if self.decision_level() == 0 {
+            if reason != UNDEF_CLAUSE && self.proof.is_some() {
+                self.proof_log_root_unit(lit, reason);
+            }
             UNDEF_CLAUSE
         } else {
             reason
@@ -952,7 +1244,12 @@ impl Engine {
     /// First-UIP conflict analysis.  The learned clause is accumulated in
     /// `self.learnt_buf` (asserting literal first); returns the backtrack
     /// level.  Clauses are read straight from the arena — nothing is cloned.
+    /// With a hinted proof log the clause's chain is built alongside.
     fn analyze(&mut self, mut conflict: ClauseRef) -> u32 {
+        let hinted = self.hinted();
+        if hinted {
+            self.hint_begin();
+        }
         self.learnt_buf.clear();
         self.learnt_buf.push(Lit::positive(Var::new(0))); // placeholder
         let mut counter = 0usize;
@@ -964,6 +1261,9 @@ impl Engine {
         loop {
             if self.arena.is_learnt(conflict) {
                 self.bump_clause(conflict);
+            }
+            if hinted {
+                self.hint_clause(conflict);
             }
             let len = self.arena.len(conflict);
             for k in start..len {
@@ -977,6 +1277,8 @@ impl Engine {
                     } else {
                         self.learnt_buf.push(q);
                     }
+                } else if hinted && self.level[v] == 0 {
+                    self.hint_root(v);
                 }
             }
             // Select the next literal to resolve on.
@@ -1000,6 +1302,9 @@ impl Engine {
         // Clear the `seen` flags of the literals kept in the learned clause.
         for idx in 1..self.learnt_buf.len() {
             self.seen[self.learnt_buf[idx].var().index()] = false;
+        }
+        if hinted {
+            self.hint_end();
         }
         // Compute the backtrack level: highest level among learnt[1..].
         if self.learnt_buf.len() == 1 {
@@ -1046,14 +1351,15 @@ impl Engine {
     /// still needed as the reason of the backjump assertion, so it is kept
     /// but queued for deletion as soon as it is no longer locked.
     fn learn_clause(&mut self) {
-        self.proof_log_learnt();
+        let id = self.proof_log_learnt();
         if self.learnt_buf.len() == 1 {
             let lit = self.learnt_buf[0];
             self.enqueue(lit, UNDEF_CLAUSE);
+            self.proof_note_unit(lit, id);
             return;
         }
         let _mem_scope = velv_obs::MemScope::enter("sat.learnts");
-        let cref = self.arena.alloc(&self.learnt_buf, true);
+        let cref = self.arena.alloc(&self.learnt_buf, true, id);
         self.arena.set_activity(cref, self.cla_inc);
         let asserting = self.learnt_buf[0];
         let second = self.learnt_buf[1];
@@ -1238,7 +1544,10 @@ impl Engine {
     /// relocates all of them; later references reuse the forward pointer.
     fn collect_garbage(&mut self) {
         let _mem_scope = velv_obs::MemScope::enter("sat.arena");
-        let mut to = ClauseArena::with_capacity(self.arena.data.len() - self.arena.wasted);
+        let mut to = ClauseArena::with_capacity(
+            self.arena.data.len() - self.arena.wasted,
+            self.arena.with_ids,
+        );
         for widx in 0..self.watches.len() {
             let mut kept = 0;
             for i in 0..self.watches[widx].len() {
@@ -1306,11 +1615,18 @@ impl Engine {
     /// a subset of the assumption literals that already forces the conflict —
     /// `p` itself plus every assumption reachable backwards through the
     /// implication graph from `¬p`.
+    ///
+    /// With a hinted proof log, the chain of the terminal clause `¬core` is
+    /// built alongside: the root units met, then the reasons in trail order,
+    /// ending with the reason of `¬p`.
     fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
+        self.hint_begin();
         let mut core = vec![p];
         let pv = p.var().index();
         if self.trail_lim.is_empty() || self.level[pv] == 0 {
             // ¬p is a root-level fact: assuming p alone is contradictory.
+            self.hint_root(pv);
+            self.hint_end();
             return core;
         }
         self.seen[pv] = true;
@@ -1328,15 +1644,19 @@ impl Engine {
                 debug_assert!(self.level[v] > 0);
                 core.push(x);
             } else {
+                self.hint_clause(r);
                 for k in 1..self.arena.len(r) {
                     let q = self.arena.lit(r, k);
                     if self.level[q.var().index()] > 0 {
                         self.seen[q.var().index()] = true;
+                    } else {
+                        self.hint_root(q.var().index());
                     }
                 }
             }
         }
         self.seen[pv] = false;
+        self.hint_end();
         core
     }
 
@@ -1386,7 +1706,7 @@ impl Engine {
                 self.obs.note_conflict(conflict_level);
                 if self.decision_level() == 0 {
                     self.unsat = true;
-                    self.proof_log_empty();
+                    self.proof_log_root_conflict(conflict);
                     return SatResult::Unsat;
                 }
                 let backtrack_level = self.analyze(conflict);
@@ -1506,12 +1826,12 @@ mod tests {
         let mut config = CdclConfig::chaff();
         config.name = "gc-gauge-test".to_owned();
         let cnf = cnf_of(&[&[1, 2], &[2, 3], &[3, 4]]);
-        let mut engine = Engine::new(&cnf, config);
+        let mut engine = Engine::new(&cnf, config, None);
 
         // Manufacture fragmentation: allocate unattached clauses straight
         // into the arena and delete them all.
         let extra: Vec<ClauseRef> = (0..64)
-            .map(|_| engine.arena.alloc(&[lit(1), lit(2), lit(3)], true))
+            .map(|_| engine.arena.alloc(&[lit(1), lit(2), lit(3)], true, 0))
             .collect();
         for cref in extra {
             engine.arena.delete(cref);

@@ -73,15 +73,31 @@ impl IncrementalSolver {
 
     /// Creates an incremental solver preloaded with `cnf`.
     pub fn with_formula(config: CdclConfig, cnf: &CnfFormula) -> Self {
+        Self::build(config, cnf, None)
+    }
+
+    /// Creates an incremental solver preloaded with `cnf` that logs a proof
+    /// from its first clause on, so every step carries hints: input clause
+    /// `i` of the proof is clause `i` of `cnf`, followed by the clauses
+    /// added later in the order they were added.  The handle is
+    /// [`IncrementalSolver::proof`].
+    pub fn with_formula_and_proof(config: CdclConfig, cnf: &CnfFormula) -> Self {
+        Self::build(config, cnf, Some(SharedProof::new()))
+    }
+
+    fn build(config: CdclConfig, cnf: &CnfFormula, proof: Option<SharedProof>) -> Self {
         let config_name = config.name.clone();
+        let writer = proof
+            .clone()
+            .map(|handle| Box::new(handle) as Box<dyn crate::proof::ProofWriter>);
         IncrementalSolver {
-            engine: Engine::new(cnf, config),
+            engine: Engine::new(cnf, config, writer),
             config_name,
             scopes: Vec::new(),
             scope_spans: Vec::new(),
             last_core: Vec::new(),
             trace: None,
-            proof: None,
+            proof,
         }
     }
 
@@ -127,6 +143,13 @@ impl IncrementalSolver {
     /// including activation literals of open scopes) accumulate in one proof,
     /// so assumption-based UNSAT answers and UNSAT cores are certifiable
     /// against the clauses added to the session.  Idempotent.
+    ///
+    /// On a solver that has not received a clause yet (one made by
+    /// [`IncrementalSolver::new`]) the steps carry hints, numbering input
+    /// clauses in the order they are added.  Enabled later — on a solver
+    /// made by [`IncrementalSolver::with_formula`], say — the log is plain
+    /// DRAT, checked by reverse unit propagation; use
+    /// [`IncrementalSolver::with_formula_and_proof`] to get hints there.
     ///
     /// Enable proof logging **before the first solve**: inferences performed
     /// earlier (learned clauses of previous queries) are not on record, so

@@ -25,10 +25,11 @@
 //!   the `p inccnf` incremental session format).
 //! * [`preprocess`] — the "simplify before solving" experiments of Section 4.
 //! * [`proof`] — pluggable DRAT proof logging: with a [`proof::ProofWriter`]
-//!   attached, the CDCL engine records every learned clause and deletion so
-//!   UNSAT answers can be replayed by the independent checker in
-//!   `velv_proof` (including assumption-based answers, whose final step is
-//!   the clause over the negated assumptions).
+//!   attached, the CDCL engine records every learned clause and deletion —
+//!   with the hint chains of its conflict analysis when the writer was there
+//!   from the first clause on — so UNSAT answers can be replayed by the
+//!   independent checker in `velv_proof` (including assumption-based
+//!   answers, whose final step is the clause over the negated assumptions).
 //! * [`portfolio`] — a parallel portfolio that races several engines on
 //!   threads and returns the first decided answer, cancelling the losers
 //!   through the cooperative [`CancelToken`] carried by [`Budget`].  The paper

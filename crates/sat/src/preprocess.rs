@@ -95,14 +95,14 @@ fn preprocess_impl(
     macro_rules! log_add {
         ($lits:expr) => {
             if let Some(p) = proof.as_deref_mut() {
-                p.add_clause($lits);
+                p.add_clause($lits, &[]);
             }
         };
     }
     macro_rules! log_delete {
         ($lits:expr) => {
             if let Some(p) = proof.as_deref_mut() {
-                p.delete_clause($lits);
+                p.delete_clause($lits, None);
             }
         };
     }

@@ -9,6 +9,14 @@
 //! Checking is *not* done here: the independent checker lives in
 //! [`velv_proof::checker`], which deliberately shares no code with this crate.
 //!
+//! An engine that has the writer from its first clause on also records
+//! hints ([`velv_proof::ClauseId`]s): with every addition the clauses its
+//! conflict analysis resolved, with every deletion the ID of the deleted
+//! clause, plus a unit lemma for each literal fixed at the root.  Input
+//! clauses are numbered in the order the engine received them (the initial
+//! formula, then each clause added between solves), proof steps in the order
+//! they were written, starting at zero.
+//!
 //! The writer is a trait so that sinks can be swapped: the default
 //! [`SharedProof`] accumulates an in-memory [`velv_proof::Proof`] behind a
 //! cheap shared handle (the caller keeps a clone and reads the proof after the
@@ -25,10 +33,19 @@ use velv_proof::Proof;
 /// once per learned clause (on the conflict path) and
 /// [`ProofWriter::delete_clause`] once per clause deletion.
 pub trait ProofWriter: Send {
-    /// Records a derived (RUP) clause addition.
-    fn add_clause(&mut self, lits: &[Lit]);
-    /// Records a clause deletion.
-    fn delete_clause(&mut self, lits: &[Lit]);
+    /// Records a derived (RUP) clause addition with its hint chain (encoded
+    /// [`velv_proof::ClauseId`]s; empty when the engine records no hints).
+    fn add_clause(&mut self, lits: &[Lit], hints: &[u32]);
+    /// Records a clause deletion, with the encoded ID of the deleted clause
+    /// when the engine records hints.
+    fn delete_clause(&mut self, lits: &[Lit], id: Option<u32>);
+    /// Whether the engine should record hints into this sink.  Hint IDs
+    /// number the engine's own steps from zero, so a sink that already holds
+    /// steps — a preprocessing log, checked against a different CNF — must
+    /// decline them and receive plain DRAT.
+    fn accepts_hints(&self) -> bool {
+        true
+    }
 }
 
 /// A shared, in-memory DRAT proof: clones refer to the same underlying
@@ -73,18 +90,24 @@ impl SharedProof {
 }
 
 impl ProofWriter for SharedProof {
-    fn add_clause(&mut self, lits: &[Lit]) {
+    fn add_clause(&mut self, lits: &[Lit], hints: &[u32]) {
         self.inner
             .lock()
             .expect("proof lock is not poisoned")
-            .add(crate::dimacs::clause_to_dimacs_i32(lits));
+            .add_hinted(crate::dimacs::clause_to_dimacs_i32(lits), hints);
     }
 
-    fn delete_clause(&mut self, lits: &[Lit]) {
-        self.inner
-            .lock()
-            .expect("proof lock is not poisoned")
-            .delete(crate::dimacs::clause_to_dimacs_i32(lits));
+    fn delete_clause(&mut self, lits: &[Lit], id: Option<u32>) {
+        let lits = crate::dimacs::clause_to_dimacs_i32(lits);
+        let mut proof = self.inner.lock().expect("proof lock is not poisoned");
+        match id {
+            Some(id) => proof.delete_hinted(lits, id),
+            None => proof.delete(lits),
+        }
+    }
+
+    fn accepts_hints(&self) -> bool {
+        self.is_empty()
     }
 }
 
@@ -98,11 +121,17 @@ mod tests {
     fn shared_proof_clones_observe_each_other() {
         let shared = SharedProof::new();
         let mut writer = shared.clone();
-        writer.add_clause(&[Lit::positive(Var::new(0)), Lit::negative(Var::new(1))]);
-        writer.delete_clause(&[Lit::negative(Var::new(0))]);
+        assert!(writer.accepts_hints(), "an empty sink takes hints");
+        writer.add_clause(
+            &[Lit::positive(Var::new(0)), Lit::negative(Var::new(1))],
+            &[3],
+        );
+        writer.delete_clause(&[Lit::negative(Var::new(0))], None);
         assert_eq!(shared.len(), 2);
+        assert!(!writer.accepts_hints(), "a sink with steps declines hints");
         let proof = shared.snapshot();
         assert_eq!(proof.steps()[0], ProofStep::Add(vec![1, -2]));
+        assert_eq!(proof.hints(0), &[3]);
         assert_eq!(proof.steps()[1], ProofStep::Delete(vec![-1]));
         let taken = shared.take();
         assert_eq!(taken.len(), 2);

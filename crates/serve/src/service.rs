@@ -582,6 +582,7 @@ struct Counters {
     running: velv_obs::Gauge,
     workers: velv_obs::Gauge,
     workers_busy: velv_obs::Gauge,
+    translate_micros: velv_obs::Counter,
     solve_micros: velv_obs::Counter,
     wall_micros: velv_obs::Counter,
     job_wall_micros: velv_obs::Histogram,
@@ -710,9 +711,13 @@ impl Counters {
                 "velv_serve_workers_busy",
                 "Worker threads currently running a work item.",
             ),
+            translate_micros: registry.counter(
+                "velv_serve_translate_micros_total",
+                "Total translation time spent by workers, in microseconds.",
+            ),
             solve_micros: registry.counter(
                 "velv_serve_solve_micros_total",
-                "Total translation+solve time spent by workers, in microseconds.",
+                "Total solve time (after translation) spent by workers, in microseconds.",
             ),
             wall_micros: registry.counter(
                 "velv_serve_wall_micros_total",
@@ -1266,7 +1271,8 @@ impl Inner {
     /// Delivers a freshly computed verdict: cache it (decided verdicts only,
     /// *before* leaving the in-flight table so late submitters always find
     /// one of the two), retire the in-flight entry, resolve every subscriber
-    /// and bump the counters.
+    /// and bump the counters.  `solve_time` is translation plus solve, of
+    /// which `translate_time` was translation.
     #[allow(clippy::too_many_arguments)]
     fn finish_fresh(
         &self,
@@ -1275,6 +1281,7 @@ impl Inner {
         certificate: Option<Certificate>,
         proof: Option<Arc<Vec<u8>>>,
         solve_time: Duration,
+        translate_time: Duration,
         translation_stats: Option<TranslationStats>,
         profile: Option<Arc<String>>,
     ) {
@@ -1323,8 +1330,11 @@ impl Inner {
         }
         self.counters.completed.inc();
         self.counters
+            .translate_micros
+            .add(translate_time.as_micros() as u64);
+        self.counters
             .solve_micros
-            .add(solve_time.as_micros() as u64);
+            .add(solve_time.saturating_sub(translate_time).as_micros() as u64);
         self.note_job_wall(job.state.priority, wall);
         job.state.resolve(JobResult {
             name: job.state.name.clone(),
@@ -1343,6 +1353,7 @@ impl Inner {
             Verdict::Unknown("cancelled".to_owned()),
             None,
             None,
+            Duration::ZERO,
             Duration::ZERO,
             None,
             None,
@@ -1579,6 +1590,7 @@ fn run_single(inner: &Inner, job: &SingleJob) {
         .map(|_| velv_obs::shared_recorder());
     let _recorder_guard = recorder.clone().map(velv_sat::install_solve_recorder);
 
+    let translate_time;
     let (verdict, certificate, proof, stats) = match job.spec.mode {
         SolveMode::Decomposed { max_obligations } => {
             let problem = &job.problem;
@@ -1587,6 +1599,7 @@ fn run_single(inner: &Inner, job: &SingleJob) {
                 let _mem_scope = velv_obs::MemScope::enter("eufm");
                 verifier.translate_obligations_shared(problem, max_obligations)
             };
+            translate_time = started.elapsed();
             inner.counters.fresh_solves.inc();
             let _solve_span = velv_obs::span("serve.solve");
             if job.spec.certified {
@@ -1617,6 +1630,7 @@ fn run_single(inner: &Inner, job: &SingleJob) {
                 let _mem_scope = velv_obs::MemScope::enter("eufm");
                 verifier.translate_problem(&job.problem)
             };
+            translate_time = started.elapsed();
             let stats = translation.stats;
             inner.counters.fresh_solves.inc();
             let _solve_span = velv_obs::span("serve.solve");
@@ -1724,6 +1738,7 @@ fn run_single(inner: &Inner, job: &SingleJob) {
         certificate,
         proof,
         started.elapsed(),
+        translate_time,
         stats,
         profile,
     );
@@ -1827,6 +1842,7 @@ fn run_batch(inner: &Inner, entries: Vec<SingleJob>) {
         let _span = velv_obs::span("serve.translate");
         verifier.translate_batch_shared(&problems)
     };
+    let translate_time = started.elapsed();
     inner.counters.fresh_solves.inc();
 
     let solve_span = velv_obs::span("serve.solve");
@@ -1879,6 +1895,7 @@ fn run_batch(inner: &Inner, entries: Vec<SingleJob>) {
     // precisely that per-entry cost is not separable.
     let _respond_span = velv_obs::span("serve.respond");
     let share = started.elapsed() / alive.len() as u32;
+    let translate_share = translate_time / alive.len() as u32;
     for (job, (verdict, certificate)) in alive.iter().zip(verdicts) {
         inner.finish_fresh(
             job,
@@ -1886,6 +1903,7 @@ fn run_batch(inner: &Inner, entries: Vec<SingleJob>) {
             certificate,
             None,
             share,
+            translate_share,
             Some(shared.stats),
             // Batch jobs share one incremental session; per-job attribution
             // of its time-series would be fiction, so batches are not

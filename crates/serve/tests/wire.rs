@@ -59,6 +59,9 @@ fn concurrent_clients_hammer_the_catalog() {
         stats["velv_serve_verdict_correct_total"] + stats["velv_serve_verdict_buggy_total"],
         4
     );
+    // Worker time is reported per layer: four translations, four solves.
+    assert!(stats["velv_serve_translate_micros_total"] > 0);
+    assert!(stats["velv_serve_solve_micros_total"] > 0);
     client.shutdown().expect("shutdown");
     control.wait();
 }

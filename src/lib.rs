@@ -10,8 +10,9 @@
 //! * [`velv_core`] — the EUFM → propositional translation and verification flow,
 //! * [`velv_sat`] — the SAT procedures (CDCL presets, DPLL, local search),
 //! * [`velv_bdd`] — the BDD package used as the decision-diagram back end,
-//! * [`velv_proof`] — DRAT proof formats and the independent RUP checker
-//!   behind certified verdicts,
+//! * [`velv_proof`] — DRAT proof formats with LRAT-style hints and the
+//!   independent checker (hint-chain walk, RUP fallback) behind certified
+//!   verdicts,
 //! * [`velv_obs`] — zero-dependency observability: the metric registry
 //!   (Prometheus-text/JSON encodings), the span/event tracer with JSONL
 //!   sinks, solver progress heartbeats and the offline trace checker,
