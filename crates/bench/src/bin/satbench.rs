@@ -42,12 +42,18 @@
 //! log into the cache, and answer the whole catalog without re-solving.  Its
 //! rows land in the `persist` array of `BENCH_serve.json`.
 //!
+//! A sixth, **paper**, runs the paper ledger (`velv_bench::paper`) into
+//! `BENCH_paper.json` and exits non-zero when one of its `exact` claims is
+//! false.
+//!
 //! Usage: `satbench [--smoke] [--out PATH] [--serve-out PATH]
-//! [--only cdcl|serve|persist] [--trace PATH] [--profile DIR]`.
-//! `--smoke` shrinks every instance so the whole run takes well under a
-//! second — CI uses it to keep the harness from rotting without paying for a
-//! real measurement.  `--only serve` regenerates `BENCH_serve.json` without
-//! re-measuring the solver suites.  `--trace` records every span and event of
+//! [--paper-out PATH] [--only cdcl|serve|persist|paper] [--trace PATH]
+//! [--profile DIR]`.  `--smoke` shrinks every instance so the solver and
+//! serve suites take well under a second and the paper ledger runs its
+//! smoke subset — CI uses it to keep the harness from rotting without paying
+//! for a real measurement.  `--only serve` regenerates `BENCH_serve.json`
+//! without re-measuring the solver suites; `--only paper` regenerates
+//! `BENCH_paper.json`.  `--trace` records every span and event of
 //! the run to a JSONL file and self-checks the capture with the trace checker
 //! before exiting.  `--profile DIR` writes one `SolveProfile` JSONL artifact
 //! per (preset, instance) run of the CDCL suite to `DIR` — decimated
@@ -1059,9 +1065,11 @@ fn main() {
     let run_serve_suite = only
         .as_deref()
         .is_none_or(|o| o == "serve" || o == "persist");
+    let run_paper = only.as_deref().is_none_or(|o| o == "paper");
+    let paper_out_path = flag_value("--paper-out").unwrap_or_else(|| "BENCH_paper.json".to_owned());
     if let Some(other) = only.as_deref() {
-        if other != "cdcl" && other != "serve" && other != "persist" {
-            eprintln!("satbench: unknown --only {other} (want cdcl, serve or persist)");
+        if !["cdcl", "serve", "persist", "paper"].contains(&other) {
+            eprintln!("satbench: unknown --only {other} (want cdcl, serve, persist or paper)");
             std::process::exit(2);
         }
     }
@@ -1191,6 +1199,19 @@ fn main() {
         }
     }
 
+    let mut paper_failures = Vec::new();
+    if run_paper {
+        let ledger = velv_bench::paper::measure(smoke);
+        ledger.print();
+        println!("paper ledger: {:.1} s wall", ledger.wall_s);
+        if let Err(e) = std::fs::write(&paper_out_path, ledger.to_json()) {
+            eprintln!("failed to write {paper_out_path}: {e}");
+            std::process::exit(1);
+        }
+        println!("wrote {paper_out_path}");
+        paper_failures = ledger.exact_failures();
+    }
+
     // Drain the tracer and self-check the capture: the harness is a single
     // process whose worker threads have all exited, so every span must have
     // closed and reached the file.
@@ -1222,5 +1243,11 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+    for failure in &paper_failures {
+        eprintln!("satbench: exact paper claim is false: {failure}");
+    }
+    if !paper_failures.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -3,8 +3,9 @@
 //! (including the test harness's own) flows through the counters.  The
 //! assertions therefore lean on *scope-local* figures for exactness — other
 //! test threads never enter these scopes — and on invariants (`peak >=
-//! live`) for the global figures; the exact scope-sum invariant has a test
-//! binary of its own (`mem_global.rs`).
+//! live`) for the global figures.  The tests over exact *global* figures
+//! each have a test binary of their own: the scope-sum invariant
+//! (`mem_global.rs`) and the peak watermark (`mem_peak.rs`).
 
 use velv_obs::mem;
 
@@ -87,21 +88,4 @@ fn nesting_attributes_to_innermost_scope() {
     drop(outer_block);
     drop(inner_block);
     drop(outer_block_2);
-}
-
-/// Watermarks: after a reset, peak tracks the high-water mark of live bytes
-/// and never reads below it; the snapshot clamps racing readings.
-#[test]
-fn peak_tracks_high_water() {
-    mem::reset_peaks();
-    let live_before = mem::live_bytes();
-    let block = vec![7u8; 1 << 20];
-    assert!(mem::peak_bytes() >= live_before + (1 << 20));
-    assert!(mem::peak_bytes() >= mem::live_bytes());
-    drop(block);
-    // Freeing lowers live but not the recorded peak.
-    assert!(mem::peak_bytes() >= live_before + (1 << 20));
-    let snap = mem::snapshot();
-    assert!(snap.peak_bytes >= snap.live_bytes);
-    assert!(snap.allocations > snap.frees, "live allocations exist");
 }
