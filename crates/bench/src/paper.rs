@@ -579,6 +579,8 @@ const EXPERIMENTS: &[Experiment] = &[
             let counts = [o.obligations, o.primary_vars].map(|n| n.to_string());
             [secs(o.total_s()), secs(o.longest_s)].into_iter().chain(counts).chain([o.correct().to_string()]).collect()
         },
+        // Rows 0-2 are 9VLIW-MC-BP and rows 3-5, left out of the smoke rows,
+        // 9VLIW-MC-BP-EX.
         claims: &[
             Claim("9VLIW-MC-BP: every weak criterion of the correct design is proven", Exact, |o| {
                 o.iter().take(3).all(|cells| cells[0].correct())
